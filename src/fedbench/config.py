@@ -1,15 +1,19 @@
 """Experiment configuration: INI-style files, grid expansion, snapshots.
 
-Sections carry flat key=value pairs. The dataset, partition mode, and
-strategy kind accept comma-separated lists; a file with lists expands to the
-cross-product of runs.
+Each section fills one config dataclass: its keys are the field names (two
+aliases aside, see _SECTIONS), typed by the field annotations and defaulting to
+the field defaults. The dataset, partition mode, and strategy kind accept
+comma-separated lists; a file with lists expands to the cross-product of runs.
 """
 
 from __future__ import annotations
 
 import configparser
 import copy
-from dataclasses import asdict
+import itertools
+import types
+import typing
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 from .adversary import AdversarySpec
@@ -20,7 +24,7 @@ from .partition import PartitionSpec
 from .simulation import ExperimentConfig
 from .strategies import StrategyConfig
 
-# Default model dimensions per dataset; synthetic resolves from its own section.
+# Default model dimensions per dataset; synthetic takes them from its section.
 _DATASET_DIMS = {
     "mnist": (784, 10),
     "fmnist": (784, 10),
@@ -30,89 +34,74 @@ _DATASET_DIMS = {
 _DEFAULT_HIDDEN = {"cifar10": [256]}
 
 
-def _to_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+def _keys(names: str, **aliases: str) -> dict[str, str]:
+    return {**{name: name for name in names.split()}, **aliases}
 
 
-def _to_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+# INI section -> (dataclass it fills, {INI key: field it sets}). A dataclass
+# field missing here (model.activation, partition.num_clients) is not settable.
+_SECTIONS = {
+    "experiment": (ExperimentConfig, _keys(
+        "dataset rounds num_clients master_seed train_subset eval_subset data_dir")),
+    "partition": (PartitionSpec, _keys("mode alpha seed")),
+    "model": (ModelSpec, _keys("hidden_dims input_dim output_classes init_seed")),
+    "local": (LocalOptimizerConfig, _keys(
+        "learning_rate batch_size local_epochs adam_beta1 adam_beta2 adam_epsilon",
+        optimizer="kind")),
+    "strategy": (StrategyConfig, _keys(
+        "kind server_lr momentum adam_beta1 adam_beta2 adaptivity prox_mu "
+        "dp_noise_multiplier dp_target_quantile dp_clip_lr dp_initial_clip")),
+    "synthetic": (SyntheticSpec, _keys(
+        "num_classes train_per_class test_per_class input_dim class_sep seed")),
+    "adversary": (AdversarySpec, _keys("kind scale_factor", clients="affected_clients")),
+}
 
 
 def _to_list(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
 
 
-_KNOWN_KEYS = {
-    "experiment": {
-        "dataset", "rounds", "num_clients", "master_seed",
-        "train_subset", "eval_subset", "data_dir",
-    },
-    "partition": {"mode", "alpha", "seed"},
-    "model": {"hidden_dims", "input_dim", "output_classes", "init_seed"},
-    "local": {
-        "optimizer", "learning_rate", "batch_size", "local_epochs",
-        "adam_beta1", "adam_beta2", "adam_epsilon",
-    },
-    "strategy": {
-        "kind", "server_lr", "momentum", "adam_beta1", "adam_beta2",
-        "adaptivity", "prox_mu", "dp_noise_multiplier", "dp_target_quantile",
-        "dp_clip_lr", "dp_initial_clip",
-    },
-    "synthetic": {
-        "num_classes", "train_per_class", "test_per_class",
-        "input_dim", "class_sep", "seed",
-    },
-    "adversary": {"kind", "scale_factor", "clients"},
-}
+def _unwrap_optional(hint):
+    if isinstance(hint, types.UnionType):
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+    return hint
 
 
-def _check_keys(parser: configparser.ConfigParser) -> None:
+def _coerce(text: str, hint, key: str):
+    """Convert one INI value to the field type; `key` names it in errors."""
+    hint = _unwrap_optional(hint)
+    container = typing.get_origin(hint)
+    if container is not None:  # list[int], frozenset[int]
+        (item,) = typing.get_args(hint)
+        return container(_coerce(part, item, key) for part in _to_list(text))
+    try:
+        return hint(text)
+    except ValueError:
+        expected = "an integer" if hint is int else "a number"
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+
+
+def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:
+    """Typed field values each section sets, keyed by field name. Empty
+    values count as unset."""
+    given = {name: {} for name in _SECTIONS}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(
-                f"unknown section [{section}], expected one of "
-                f"{sorted(_KNOWN_KEYS)}"
+                f"unknown section [{section}], expected one of {sorted(_SECTIONS)}"
             )
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+        cls, keys = _SECTIONS[section]
+        hints = typing.get_type_hints(cls)
+        for key, text in parser[section].items():
+            if key not in keys:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}], expected one of "
-                    f"{sorted(_KNOWN_KEYS[section])}"
+                    f"{sorted(keys)}"
                 )
-
-
-class _Section:
-    """Typed access to one INI section with empty-string-as-unset handling."""
-
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else {}
-
-    def get(self, key: str) -> str | None:
-        value = self.raw.get(key, "")
-        return value.strip() or None
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        value = self.get(key)
-        return default if value is None else _to_int(value, f"{self.name}.{key}")
-
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        value = self.get(key)
-        return default if value is None else _to_float(value, f"{self.name}.{key}")
-
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        value = self.get(key)
-        return default if value is None else value
-
-    def get_list(self, key: str, default: list[str]) -> list[str]:
-        value = self.get(key)
-        return default if value is None else _to_list(value)
+            if text.strip():
+                field = keys[key]
+                given[section][field] = _coerce(text.strip(), hints[field], f"{section}.{key}")
+    return given
 
 
 def parse_config(path: str | Path) -> list[ExperimentConfig]:
@@ -125,118 +114,40 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
         parser.read(path)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from None
-    _check_keys(parser)
+    exp, par, mod, loc, strat, synth, adv = _read_sections(parser).values()
 
-    exp = _Section(parser, "experiment")
-    par = _Section(parser, "partition")
-    mod = _Section(parser, "model")
-    loc = _Section(parser, "local")
-    strat = _Section(parser, "strategy")
-    synth = _Section(parser, "synthetic")
-    adv = _Section(parser, "adversary")
-
-    datasets = exp.get_list("dataset", ["synthmnist"])
+    # The grid axes: comma-separated lists of the str fields they set.
+    datasets = _to_list(exp.pop("dataset", ExperimentConfig.dataset))
     for name in datasets:
         if name not in DATASET_NAMES:
             raise ConfigError(
                 f"experiment.dataset: unknown dataset {name!r}, "
                 f"expected one of {DATASET_NAMES}"
             )
-    modes = par.get_list("mode", ["iid"])
-    kinds = strat.get_list("kind", ["fedavg"])
-
-    alpha = par.get_float("alpha", 0.5)
-    if alpha <= 0:
-        raise ConfigError(f"partition.alpha must be > 0, got {alpha}")
-
-    num_clients = exp.get_int("num_clients", 10)
-
-    synthetic = None
-    if synth.raw or "synthetic" in datasets:
-        synthetic = SyntheticSpec(
-            num_classes=synth.get_int("num_classes", 10),
-            train_per_class=synth.get_int("train_per_class", 1200),
-            test_per_class=synth.get_int("test_per_class", 200),
-            input_dim=synth.get_int("input_dim", 784),
-            class_sep=synth.get_float("class_sep", 6.0),
-            seed=synth.get_int("seed", 7),
-        )
-
-    adversary = AdversarySpec(
-        kind=adv.get_str("kind", "none"),
-        scale_factor=adv.get_float("scale_factor", 1.0),
-        affected_clients=frozenset(
-            _to_int(c, "adversary.clients") for c in adv.get_list("clients", [])
-        ),
-    )
-
-    local = LocalOptimizerConfig(
-        kind=loc.get_str("optimizer", "adam"),
-        learning_rate=loc.get_float("learning_rate"),
-        adam_beta1=loc.get_float("adam_beta1", 0.9),
-        adam_beta2=loc.get_float("adam_beta2", 0.999),
-        adam_epsilon=loc.get_float("adam_epsilon", 1e-8),
-        batch_size=loc.get_int("batch_size", 32),
-        local_epochs=loc.get_int("local_epochs", 1),
-    )
+    modes = _to_list(par.pop("mode", PartitionSpec.mode))
+    kinds = _to_list(strat.pop("kind", StrategyConfig.kind))
+    num_clients = exp.get("num_clients", ExperimentConfig.num_clients)
+    synthetic = SyntheticSpec(**synth) if synth or "synthetic" in datasets else None
 
     configs = []
-    for dataset in datasets:
-        input_dim, classes = _model_dims(dataset, synthetic)
-        hidden_default = _DEFAULT_HIDDEN.get(dataset, [128])
-        hidden = [
-            _to_int(h, "model.hidden_dims")
-            for h in mod.get_list("hidden_dims", [str(h) for h in hidden_default])
-        ]
-        for mode in modes:
-            for kind in kinds:
-                cfg = ExperimentConfig(
-                    dataset=dataset,
-                    partition=PartitionSpec(
-                        mode=mode,
-                        num_clients=num_clients,
-                        alpha=alpha,
-                        seed=par.get_int("seed"),
-                    ),
-                    model=ModelSpec(
-                        input_dim=mod.get_int("input_dim", input_dim),
-                        hidden_dims=list(hidden),
-                        output_classes=mod.get_int("output_classes", classes),
-                        init_seed=mod.get_int("init_seed"),
-                    ),
-                    local=copy.deepcopy(local),
-                    strategy=StrategyConfig(
-                        kind=kind,
-                        server_lr=strat.get_float("server_lr"),
-                        momentum=strat.get_float("momentum", 0.9),
-                        adam_beta1=strat.get_float("adam_beta1", 0.9),
-                        adam_beta2=strat.get_float("adam_beta2", 0.99),
-                        adaptivity=strat.get_float("adaptivity", 1e-3),
-                        prox_mu=strat.get_float("prox_mu", 0.01),
-                        dp_noise_multiplier=strat.get_float("dp_noise_multiplier", 1.0),
-                        dp_target_quantile=strat.get_float("dp_target_quantile", 0.5),
-                        dp_clip_lr=strat.get_float("dp_clip_lr", 0.2),
-                        dp_initial_clip=strat.get_float("dp_initial_clip", 0.1),
-                    ),
-                    rounds=exp.get_int("rounds", 25),
-                    num_clients=num_clients,
-                    master_seed=exp.get_int("master_seed", 42),
-                    train_subset=exp.get_int("train_subset"),
-                    eval_subset=exp.get_int("eval_subset"),
-                    adversary=copy.deepcopy(adversary),
-                    synthetic=copy.deepcopy(synthetic),
-                    data_dir=exp.get_str("data_dir"),
-                )
-                cfg.validate()
-                configs.append(cfg)
+    for dataset, mode, kind in itertools.product(datasets, modes, kinds):
+        input_dim, classes = _DATASET_DIMS.get(dataset) or (
+            synthetic.input_dim, synthetic.num_classes)
+        dims = dict(input_dim=input_dim, output_classes=classes,
+                    hidden_dims=_DEFAULT_HIDDEN.get(dataset, [128]))
+        cfg = ExperimentConfig(
+            dataset=dataset,
+            partition=PartitionSpec(mode=mode, num_clients=num_clients, **par),
+            model=ModelSpec(**copy.deepcopy({**dims, **mod})),
+            local=LocalOptimizerConfig(**loc),
+            strategy=StrategyConfig(kind=kind, **strat),
+            adversary=AdversarySpec(**adv),
+            synthetic=copy.deepcopy(synthetic),
+            **exp,
+        )
+        cfg.validate()
+        configs.append(cfg)
     return configs
-
-
-def _model_dims(dataset: str, synthetic: SyntheticSpec | None) -> tuple[int, int]:
-    if dataset in _DATASET_DIMS:
-        return _DATASET_DIMS[dataset]
-    spec = synthetic if synthetic is not None else SyntheticSpec()
-    return spec.input_dim, spec.num_classes
 
 
 def run_id_for(cfg: ExperimentConfig, replicate: int) -> str:
@@ -249,46 +160,27 @@ def run_id_for(cfg: ExperimentConfig, replicate: int) -> str:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-type snapshot that round-trips through JSON losslessly."""
-    return {
-        "dataset": cfg.dataset,
-        "rounds": cfg.rounds,
-        "num_clients": cfg.num_clients,
-        "master_seed": cfg.master_seed,
-        "train_subset": cfg.train_subset,
-        "eval_subset": cfg.eval_subset,
-        "data_dir": cfg.data_dir,
-        "partition": asdict(cfg.partition),
-        "model": asdict(cfg.model),
-        "local": asdict(cfg.local),
-        "strategy": asdict(cfg.strategy),
-        "synthetic": None if cfg.synthetic is None else asdict(cfg.synthetic),
-        "adversary": {
-            "kind": cfg.adversary.kind,
-            "scale_factor": cfg.adversary.scale_factor,
-            "affected_clients": sorted(cfg.adversary.affected_clients),
-        },
-    }
+    data = asdict(cfg)
+    data["adversary"]["affected_clients"] = sorted(cfg.adversary.affected_clients)
+    return data
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    synthetic = data.get("synthetic")
-    adversary = data.get("adversary", {})
-    return ExperimentConfig(
-        dataset=data["dataset"],
-        partition=PartitionSpec(**data["partition"]),
-        model=ModelSpec(**data["model"]),
-        local=LocalOptimizerConfig(**data["local"]),
-        strategy=StrategyConfig(**data["strategy"]),
-        rounds=data["rounds"],
-        num_clients=data["num_clients"],
-        master_seed=data["master_seed"],
-        train_subset=data.get("train_subset"),
-        eval_subset=data.get("eval_subset"),
-        adversary=AdversarySpec(
-            kind=adversary.get("kind", "none"),
-            scale_factor=adversary.get("scale_factor", 1.0),
-            affected_clients=frozenset(adversary.get("affected_clients", [])),
-        ),
-        synthetic=None if synthetic is None else SyntheticSpec(**synthetic),
-        data_dir=data.get("data_dir"),
-    )
+    """Inverse of config_to_dict; absent keys take the dataclass default."""
+    return _from_dict(ExperimentConfig, data)
+
+
+def _from_dict(cls: type, data: dict):
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name not in data:
+            continue
+        value = data[f.name]
+        hint = _unwrap_optional(hints[f.name])
+        if value is not None and is_dataclass(hint):
+            value = _from_dict(hint, value)
+        elif typing.get_origin(hint) is frozenset:
+            value = frozenset(value)
+        values[f.name] = value
+    return cls(**values)

@@ -33,7 +33,7 @@ class PartitionSpec:
             )
         if self.num_clients < 1:
             raise ConfigError(f"partition.num_clients must be >= 1, got {self.num_clients}")
-        if self.mode == "dirichlet" and self.alpha <= 0:
+        if self.alpha <= 0:
             raise ConfigError(f"partition.alpha must be > 0, got {self.alpha}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import ConfigError, ExperimentAborted, NumericError
 from .model import (
     LocalOptimizerConfig,
     ModelSpec,
+    _log_softmax,
     forward_logits,
     forward_loss_grad,
     init_model,
@@ -89,19 +90,20 @@ class ClientShard:
 
 @dataclass
 class ExperimentConfig:
+    # Field order is the key order of the config snapshot in run.json.
     dataset: str = "synthmnist"
-    partition: PartitionSpec = field(default_factory=PartitionSpec)
-    model: ModelSpec = field(default_factory=lambda: ModelSpec(0, [128], 0))
-    local: LocalOptimizerConfig = field(default_factory=LocalOptimizerConfig)
-    strategy: StrategyConfig = field(default_factory=StrategyConfig)
     rounds: int = 25
     num_clients: int = 10
     master_seed: int = 42
     train_subset: int | None = None
     eval_subset: int | None = None
-    adversary: AdversarySpec = field(default_factory=AdversarySpec)
-    synthetic: SyntheticSpec | None = None
     data_dir: str | None = None
+    partition: PartitionSpec = field(default_factory=PartitionSpec)
+    model: ModelSpec = field(default_factory=lambda: ModelSpec(0, [128], 0))
+    local: LocalOptimizerConfig = field(default_factory=LocalOptimizerConfig)
+    strategy: StrategyConfig = field(default_factory=StrategyConfig)
+    synthetic: SyntheticSpec | None = None
+    adversary: AdversarySpec = field(default_factory=AdversarySpec)
 
     def validate(self) -> None:
         if self.rounds < 1:
@@ -184,8 +186,7 @@ def evaluate_centralized(
         x = features[start : start + chunk]
         y = labels[start : start + chunk]
         logits = forward_logits(params, spec, x)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        log_probs = _log_softmax(logits)
         loss_sum += float(-log_probs[np.arange(len(y)), y].sum())
         correct += int((logits.argmax(axis=1) == y).sum())
     n = features.shape[0]
@@ -353,7 +354,8 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> Exp
     cfg.validate()
     train, test = load_dataset(cfg.dataset, cfg.data_dir, cfg.synthetic)
 
-    model = cfg.model
+    # Dims and seeds are resolved in copies; the caller's config stays as given.
+    model = replace(cfg.model)
     if model.input_dim == 0:
         model.input_dim = train.features.shape[1]
     if model.output_classes == 0:
@@ -376,7 +378,7 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> Exp
         derived_rng(cfg.master_seed, _TAG_SUBSET, 1),
     )
 
-    pspec = cfg.partition
+    pspec = replace(cfg.partition)
     if pspec.seed is None:
         pspec.seed = derived_seed(cfg.master_seed, _TAG_PARTITION)
     shards = build_shards(
@@ -409,7 +411,7 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> Exp
             metrics.append(record)
 
     return ExperimentResult(
-        config=cfg,
+        config=replace(cfg, model=model, partition=pspec),
         metrics=metrics,
         final_params=global_params,
         strategy_state=strategy.state,

@@ -23,18 +23,10 @@ if TYPE_CHECKING:
 
 Array = np.ndarray
 
-STRATEGY_KINDS = (
-    "fedavg",
-    "fedavgm",
-    "fedadam",
-    "fedadagrad",
-    "fedmedian",
-    "fedprox",
-    "dp",
-)
-
-# Server learning rate when the config leaves it unset.
-_DEFAULT_SERVER_LR = {"fedadam": 0.1, "fedadagrad": 0.1}
+# Server learning rate when the config leaves it unset. FedAdam's first step
+# moves every coordinate by about lr, since m/sqrt(v2) starts near +-1 without
+# bias correction; 0.1 matches the He-uniform init scale and wrecks the model.
+_DEFAULT_SERVER_LR = {"fedadam": 0.01, "fedadagrad": 0.1}
 
 
 @dataclass
@@ -44,8 +36,10 @@ class ClientUpdate:
     client_id: int
     new_params: Array
     num_samples: int
-    pre_clip_norm: float = 0.0
     timing: "TimingRecord | None" = None
+
+
+Updates = list[ClientUpdate]
 
 
 @dataclass
@@ -53,7 +47,7 @@ class StrategyConfig:
     """Hyperparameters for all strategy kinds; unused fields are ignored."""
 
     kind: str = "fedavg"
-    server_lr: float | None = None  # None: 1.0, or 0.1 for fedadam/fedadagrad
+    server_lr: float | None = None  # None: 1.0; 0.01 fedadam, 0.1 fedadagrad
     momentum: float = 0.9
     adam_beta1: float = 0.9
     adam_beta2: float = 0.99
@@ -75,23 +69,17 @@ class StrategyConfig:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"strategy.{name} must be in [0, 1), got {value}")
-        if self.adaptivity <= 0:
-            raise ConfigError(f"strategy.adaptivity must be > 0, got {self.adaptivity}")
-        if self.prox_mu < 0:
-            raise ConfigError(f"strategy.prox_mu must be >= 0, got {self.prox_mu}")
-        if self.dp_noise_multiplier < 0:
-            raise ConfigError(
-                f"strategy.dp_noise_multiplier must be >= 0, got {self.dp_noise_multiplier}"
-            )
+        for name in ("adaptivity", "dp_clip_lr", "dp_initial_clip"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigError(f"strategy.{name} must be > 0, got {value}")
+        for name in ("prox_mu", "dp_noise_multiplier"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"strategy.{name} must be >= 0, got {value}")
         if not 0.0 < self.dp_target_quantile < 1.0:
             raise ConfigError(
                 f"strategy.dp_target_quantile must be in (0, 1), got {self.dp_target_quantile}"
-            )
-        if self.dp_clip_lr <= 0:
-            raise ConfigError(f"strategy.dp_clip_lr must be > 0, got {self.dp_clip_lr}")
-        if self.dp_initial_clip <= 0:
-            raise ConfigError(
-                f"strategy.dp_initial_clip must be > 0, got {self.dp_initial_clip}"
             )
 
     @property
@@ -114,13 +102,11 @@ class StrategyState:
 
 
 def initial_state(cfg: StrategyConfig) -> StrategyState:
-    state = StrategyState(kind=cfg.kind)
-    if cfg.kind == "dp":
-        state.clip_norm = cfg.dp_initial_clip
-    return state
+    clip_norm = cfg.dp_initial_clip if cfg.kind == "dp" else 0.0
+    return StrategyState(kind=cfg.kind, clip_norm=clip_norm)
 
 
-def _check_updates(global_params: Array, updates: list[ClientUpdate]) -> None:
+def _check_updates(global_params: Array, updates: Updates) -> None:
     if not updates:
         raise ProtocolError("aggregation received an empty update set")
     for u in updates:
@@ -133,7 +119,7 @@ def _check_updates(global_params: Array, updates: list[ClientUpdate]) -> None:
             raise ProtocolError(f"client {u.client_id} reported {u.num_samples} samples")
 
 
-def weighted_mean_params(updates: list[ClientUpdate]) -> Array:
+def weighted_mean_params(updates: Updates) -> Array:
     weights = np.array([u.num_samples for u in updates], dtype=np.float64)
     weights /= weights.sum()
     out = np.zeros_like(updates[0].new_params)
@@ -142,7 +128,7 @@ def weighted_mean_params(updates: list[ClientUpdate]) -> Array:
     return out
 
 
-def pseudo_gradient(global_params: Array, updates: list[ClientUpdate]) -> Array:
+def pseudo_gradient(global_params: Array, updates: Updates) -> Array:
     """Sample-weighted mean of client deltas relative to the global model."""
     weights = np.array([u.num_samples for u in updates], dtype=np.float64)
     weights /= weights.sum()
@@ -150,93 +136,6 @@ def pseudo_gradient(global_params: Array, updates: list[ClientUpdate]) -> Array:
     for w, u in zip(weights, updates):
         delta += w * (u.new_params - global_params)
     return delta
-
-
-def aggregate_fedavg(global_params: Array, updates: list[ClientUpdate]) -> Array:
-    """Data-size-weighted elementwise average of the client models."""
-    _check_updates(global_params, updates)
-    return weighted_mean_params(updates)
-
-
-def aggregate_fedavgm(
-    global_params: Array,
-    updates: list[ClientUpdate],
-    state: StrategyState,
-    cfg: StrategyConfig,
-) -> tuple[Array, StrategyState]:
-    """Server momentum over the pseudo-gradient: v' = beta*v + delta,
-    w' = w + lr*v'. beta=0, lr=1 reduces exactly to FedAvg."""
-    _check_updates(global_params, updates)
-    delta = pseudo_gradient(global_params, updates)
-    v = state.momentum_buffer if state.momentum_buffer is not None else np.zeros_like(delta)
-    v = cfg.momentum * v + delta
-    new_params = global_params + cfg.lr * v
-    new_state = replace(state, round_index=state.round_index + 1, momentum_buffer=v)
-    return new_params, new_state
-
-
-def _adaptive_update(
-    global_params: Array,
-    updates: list[ClientUpdate],
-    state: StrategyState,
-    cfg: StrategyConfig,
-    accumulate: bool,
-) -> tuple[Array, StrategyState]:
-    delta = pseudo_gradient(global_params, updates)
-    m = state.first_moment if state.first_moment is not None else np.zeros_like(delta)
-    v2 = state.second_moment if state.second_moment is not None else np.zeros_like(delta)
-    m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * delta
-    if accumulate:
-        v2 = v2 + delta * delta
-    else:
-        v2 = cfg.adam_beta2 * v2 + (1.0 - cfg.adam_beta2) * delta * delta
-    new_params = global_params + cfg.lr * m / (np.sqrt(v2) + cfg.adaptivity)
-    new_state = replace(
-        state,
-        round_index=state.round_index + 1,
-        first_moment=m,
-        second_moment=v2,
-    )
-    return new_params, new_state
-
-
-def aggregate_fedadam(
-    global_params: Array,
-    updates: list[ClientUpdate],
-    state: StrategyState,
-    cfg: StrategyConfig,
-) -> tuple[Array, StrategyState]:
-    """Adam on the server over pseudo-gradients, no bias correction:
-    m' = b1*m + (1-b1)*delta; v2' = b2*v2 + (1-b2)*delta^2;
-    w' = w + lr * m' / (sqrt(v2') + tau)."""
-    _check_updates(global_params, updates)
-    return _adaptive_update(global_params, updates, state, cfg, accumulate=False)
-
-
-def aggregate_fedadagrad(
-    global_params: Array,
-    updates: list[ClientUpdate],
-    state: StrategyState,
-    cfg: StrategyConfig,
-) -> tuple[Array, StrategyState]:
-    """Adagrad on the server: v2 accumulates delta^2 without decay, so the
-    effective step size anneals as rounds progress."""
-    _check_updates(global_params, updates)
-    return _adaptive_update(global_params, updates, state, cfg, accumulate=True)
-
-
-def aggregate_fedmedian(global_params: Array, updates: list[ClientUpdate]) -> Array:
-    """Unweighted coordinate-wise median of the client models; even client
-    counts average the two middle values."""
-    _check_updates(global_params, updates)
-    stacked = np.stack([u.new_params for u in updates])
-    return np.median(stacked, axis=0)
-
-
-def aggregate_fedprox(global_params: Array, updates: list[ClientUpdate]) -> Array:
-    """Server side is plain FedAvg; the proximal pull toward the global
-    model happens in the clients' local gradient (see train_local)."""
-    return aggregate_fedavg(global_params, updates)
 
 
 def dp_clip(update_delta: Array, clip_norm: float) -> tuple[Array, bool]:
@@ -253,11 +152,118 @@ def dp_clip(update_delta: Array, clip_norm: float) -> tuple[Array, bool]:
     return update_delta * (clip_norm / norm), False
 
 
+def _mean_step(global_params, updates, state, cfg, rng):
+    return weighted_mean_params(updates), state
+
+
+def _median_step(global_params, updates, state, cfg, rng):
+    return np.median(np.stack([u.new_params for u in updates]), axis=0), state
+
+
+def _momentum_step(global_params, updates, state, cfg, rng):
+    delta = pseudo_gradient(global_params, updates)
+    v = state.momentum_buffer if state.momentum_buffer is not None else np.zeros_like(delta)
+    v = cfg.momentum * v + delta
+    return global_params + cfg.lr * v, replace(state, momentum_buffer=v)
+
+
+def _adaptive_step(global_params, updates, state, cfg, rng):
+    delta = pseudo_gradient(global_params, updates)
+    m = state.first_moment if state.first_moment is not None else np.zeros_like(delta)
+    v2 = state.second_moment if state.second_moment is not None else np.zeros_like(delta)
+    m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * delta
+    if cfg.kind == "fedadagrad":
+        v2 = v2 + delta * delta
+    else:
+        v2 = cfg.adam_beta2 * v2 + (1.0 - cfg.adam_beta2) * delta * delta
+    new_params = global_params + cfg.lr * m / (np.sqrt(v2) + cfg.adaptivity)
+    return new_params, replace(state, first_moment=m, second_moment=v2)
+
+
+def _dp_step(global_params, updates, state, cfg, rng):
+    clip = state.clip_norm
+    k = len(updates)
+    mean_clipped = np.zeros_like(global_params)
+    below = 0
+    for u in updates:
+        clipped, was_below = dp_clip(u.new_params - global_params, clip)
+        below += was_below
+        mean_clipped += clipped / k
+    noise_std = cfg.dp_noise_multiplier * clip / k
+    if noise_std > 0:
+        mean_clipped = mean_clipped + rng.normal(0.0, noise_std, size=global_params.shape)
+    new_clip = clip * float(
+        np.exp(-cfg.dp_clip_lr * (below / k - cfg.dp_target_quantile))
+    )
+    return global_params + mean_clipped, replace(state, clip_norm=new_clip)
+
+
+# Server step per kind: (global, updates, state, cfg, rng) -> (params, state).
+_STEPS = {
+    "fedavg": _mean_step,
+    "fedavgm": _momentum_step,
+    "fedadam": _adaptive_step,
+    "fedadagrad": _adaptive_step,
+    "fedmedian": _median_step,
+    "fedprox": _mean_step,  # the proximal term acts in the clients (train_local)
+    "dp": _dp_step,
+}
+STRATEGY_KINDS = tuple(_STEPS)
+
+
+def _aggregate(global_params, updates, state, cfg, rng=None):
+    """Check the round's updates, take cfg.kind's step, count the round."""
+    _check_updates(global_params, updates)
+    new_params, state = _STEPS[cfg.kind](global_params, updates, state, cfg, rng)
+    return new_params, replace(state, round_index=state.round_index + 1)
+
+
+def aggregate_fedavg(global_params: Array, updates: Updates) -> Array:
+    """Data-size-weighted elementwise average of the client models."""
+    return _aggregate(global_params, updates, StrategyState(), StrategyConfig())[0]
+
+
+def aggregate_fedavgm(
+    global_params: Array, updates: Updates, state: StrategyState, cfg: StrategyConfig
+) -> tuple[Array, StrategyState]:
+    """Server momentum over the pseudo-gradient: v' = beta*v + delta,
+    w' = w + lr*v'. beta=0, lr=1 reduces exactly to FedAvg."""
+    return _aggregate(global_params, updates, state, replace(cfg, kind="fedavgm"))
+
+
+def aggregate_fedadam(
+    global_params: Array, updates: Updates, state: StrategyState, cfg: StrategyConfig
+) -> tuple[Array, StrategyState]:
+    """Adam on the server over pseudo-gradients, no bias correction:
+    m' = b1*m + (1-b1)*delta; v2' = b2*v2 + (1-b2)*delta^2;
+    w' = w + lr * m' / (sqrt(v2') + tau)."""
+    return _aggregate(global_params, updates, state, replace(cfg, kind="fedadam"))
+
+
+def aggregate_fedadagrad(
+    global_params: Array, updates: Updates, state: StrategyState, cfg: StrategyConfig
+) -> tuple[Array, StrategyState]:
+    """Adagrad on the server: v2 accumulates delta^2 without decay, so the
+    effective step size anneals as rounds progress."""
+    return _aggregate(global_params, updates, state, replace(cfg, kind="fedadagrad"))
+
+
+def aggregate_fedmedian(global_params: Array, updates: Updates) -> Array:
+    """Unweighted coordinate-wise median of the client models; even client
+    counts average the two middle values."""
+    cfg = StrategyConfig(kind="fedmedian")
+    return _aggregate(global_params, updates, StrategyState(), cfg)[0]
+
+
+def aggregate_fedprox(global_params: Array, updates: Updates) -> Array:
+    """Server side is plain FedAvg; the proximal pull toward the global
+    model happens in the clients' local gradient (see train_local)."""
+    cfg = StrategyConfig(kind="fedprox")
+    return _aggregate(global_params, updates, StrategyState(), cfg)[0]
+
+
 def aggregate_dp(
-    global_params: Array,
-    updates: list[ClientUpdate],
-    state: StrategyState,
-    cfg: StrategyConfig,
+    global_params: Array, updates: Updates, state: StrategyState, cfg: StrategyConfig,
     rng: np.random.Generator,
 ) -> tuple[Array, StrategyState]:
     """FedAvg with server-side Gaussian noise and adaptive clipping.
@@ -267,32 +273,11 @@ def aggregate_dp(
     geometrically toward the target quantile of the delta-norm distribution:
     C' = C * exp(-lr_C * (below_fraction - quantile)).
     """
-    _check_updates(global_params, updates)
-    clip = state.clip_norm
-    k = len(updates)
-    mean_clipped = np.zeros_like(global_params)
-    below = 0
-    for u in updates:
-        delta = u.new_params - global_params
-        u.pre_clip_norm = float(np.linalg.norm(delta))
-        clipped, was_below = dp_clip(delta, clip)
-        below += was_below
-        mean_clipped += clipped / k
-    noise_std = cfg.dp_noise_multiplier * clip / k
-    if noise_std > 0:
-        mean_clipped = mean_clipped + rng.normal(0.0, noise_std, size=global_params.shape)
-    new_params = global_params + mean_clipped
-
-    below_fraction = below / k
-    new_clip = clip * float(
-        np.exp(-cfg.dp_clip_lr * (below_fraction - cfg.dp_target_quantile))
-    )
-    new_state = replace(state, round_index=state.round_index + 1, clip_norm=new_clip)
-    return new_params, new_state
+    return _aggregate(global_params, updates, state, replace(cfg, kind="dp"), rng)
 
 
 class Strategy:
-    """Uniform facade over the aggregation functions, owning the state."""
+    """Uniform facade over the aggregation steps, owning the state."""
 
     def __init__(self, cfg: StrategyConfig):
         cfg.validate()
@@ -309,39 +294,9 @@ class Strategy:
         return self.cfg.prox_mu if self.cfg.kind == "fedprox" else 0.0
 
     def aggregate(
-        self,
-        global_params: Array,
-        updates: list[ClientUpdate],
-        rng: np.random.Generator | None = None,
+        self, global_params: Array, updates: Updates, rng: np.random.Generator | None = None
     ) -> Array:
-        kind = self.cfg.kind
-        if kind == "fedavg":
-            new_params = aggregate_fedavg(global_params, updates)
-            self.state = replace(self.state, round_index=self.state.round_index + 1)
-        elif kind == "fedprox":
-            new_params = aggregate_fedprox(global_params, updates)
-            self.state = replace(self.state, round_index=self.state.round_index + 1)
-        elif kind == "fedmedian":
-            new_params = aggregate_fedmedian(global_params, updates)
-            self.state = replace(self.state, round_index=self.state.round_index + 1)
-        elif kind == "fedavgm":
-            new_params, self.state = aggregate_fedavgm(
-                global_params, updates, self.state, self.cfg
-            )
-        elif kind == "fedadam":
-            new_params, self.state = aggregate_fedadam(
-                global_params, updates, self.state, self.cfg
-            )
-        elif kind == "fedadagrad":
-            new_params, self.state = aggregate_fedadagrad(
-                global_params, updates, self.state, self.cfg
-            )
-        elif kind == "dp":
-            if rng is None:
-                rng = np.random.default_rng(0)
-            new_params, self.state = aggregate_dp(
-                global_params, updates, self.state, self.cfg, rng
-            )
-        else:  # pragma: no cover - guarded by validate()
-            raise ConfigError(f"unknown strategy kind {kind!r}")
+        if rng is None:
+            rng = np.random.default_rng(0)
+        new_params, self.state = _aggregate(global_params, updates, self.state, self.cfg, rng)
         return new_params

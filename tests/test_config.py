@@ -1,9 +1,30 @@
 """Config parsing: grids, validation messages, snapshot round-trips."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from fedbench import ConfigError, config_from_dict, config_to_dict, parse_config
-from fedbench.config import run_id_for
+from fedbench.config import _SECTIONS, run_id_for
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Every key an INI file may set, per section (41 in all).
+SETTABLE_KEYS = {
+    "experiment": {"dataset", "rounds", "num_clients", "master_seed",
+                   "train_subset", "eval_subset", "data_dir"},
+    "partition": {"mode", "alpha", "seed"},
+    "model": {"hidden_dims", "input_dim", "output_classes", "init_seed"},
+    "local": {"optimizer", "learning_rate", "batch_size", "local_epochs",
+              "adam_beta1", "adam_beta2", "adam_epsilon"},
+    "strategy": {"kind", "server_lr", "momentum", "adam_beta1", "adam_beta2",
+                 "adaptivity", "prox_mu", "dp_noise_multiplier",
+                 "dp_target_quantile", "dp_clip_lr", "dp_initial_clip"},
+    "synthetic": {"num_classes", "train_per_class", "test_per_class",
+                  "input_dim", "class_sep", "seed"},
+    "adversary": {"kind", "scale_factor", "clients"},
+}
 
 BASELINE = """
 [experiment]
@@ -74,9 +95,11 @@ dataset = synthmnist, synthetic
         assert configs[1].synthetic is not None
 
     def test_negative_alpha_rejected(self, tmp_path):
-        text = BASELINE.replace("alpha = 0.5", "alpha = -1")
-        with pytest.raises(ConfigError, match="alpha"):
-            parse_config(write(tmp_path, text))
+        for mode in ("dirichlet", "iid"):
+            text = BASELINE.replace("alpha = 0.5", "alpha = -1").replace(
+                "mode = dirichlet", f"mode = {mode}")
+            with pytest.raises(ConfigError, match="alpha"):
+                parse_config(write(tmp_path, text))
 
     def test_unknown_key_named(self, tmp_path):
         text = BASELINE.replace("kind = fedavg", "kind = fedavg\nmomentumm = 0.9")
@@ -143,8 +166,18 @@ class TestSnapshot:
         assert restored == cfg
 
     def test_round_trip_through_json(self, tmp_path):
-        import json
-
         (cfg,) = parse_config(write(tmp_path, BASELINE + "\n[adversary]\nkind = scale\nclients = 1\n"))
         snapshot = json.loads(json.dumps(config_to_dict(cfg)))
         assert config_from_dict(snapshot) == cfg
+
+    def test_shipped_configs_round_trip(self):
+        assert {name: set(keys) for name, (_, keys) in _SECTIONS.items()} == SETTABLE_KEYS
+        assert sum(len(keys) for keys in SETTABLE_KEYS.values()) == 41
+        paths = [*ROOT.glob("configs/*.ini"), *ROOT.glob("bench/workloads/*.ini")]
+        assert len(paths) >= 5
+        for path in paths:
+            configs = parse_config(path)
+            assert configs, path
+            for cfg in configs:
+                snapshot = json.loads(json.dumps(config_to_dict(cfg)))
+                assert config_from_dict(snapshot) == cfg, path

@@ -103,9 +103,9 @@ class TestSummary:
 
 class TestRunJson:
     def test_config_snapshot_round_trips(self, run_and_bundle):
-        cfg, _, _, _, run_dir = run_and_bundle
+        _, result, _, _, run_dir = run_and_bundle
         payload = json.loads((run_dir / "run.json").read_text())
-        assert config_from_dict(payload["config"]) == cfg
+        assert config_from_dict(payload["config"]) == result.config
         assert payload["metadata"]["rng"] == "numpy-pcg64"
         assert payload["metadata"]["train_size"] == 120
 

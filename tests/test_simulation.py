@@ -1,5 +1,7 @@
 """Round loop: timing capture, determinism, participation, failure handling."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,14 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.config.model.input_dim == 8
         assert result.config.model.output_classes == 3
+
+    def test_caller_config_left_unchanged(self):
+        cfg = tiny_config(rounds=1)
+        before = copy.deepcopy(cfg)
+        result = run_experiment(cfg, max_workers=1)
+        assert cfg == before
+        assert result.config.model.init_seed is not None
+        assert result.config.partition.seed is not None
 
     def test_mismatched_model_dims_rejected(self):
         cfg = tiny_config(model=ModelSpec(5, [16], 3))

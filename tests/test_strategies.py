@@ -1,9 +1,13 @@
 """Aggregation strategies against hand values and independent oracles."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedbench import (
     ClientUpdate,
@@ -42,6 +46,34 @@ def updates_with_params(params_list, num_samples=None):
         ClientUpdate(client_id=i, new_params=np.asarray(p, dtype=np.float64), num_samples=n)
         for i, (p, n) in enumerate(zip(params_list, num_samples))
     ]
+
+
+def vectors(dim, bound=10.0):
+    return arrays(np.float64, dim,
+                  elements=st.floats(-bound, bound, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def round_inputs(draw, max_clients=8):
+    """Global weights, 1..max_clients client models and their sample counts."""
+    k = draw(st.integers(1, max_clients))
+    dim = draw(st.integers(1, 5))
+    w_t = draw(vectors(dim))
+    params = draw(st.lists(vectors(dim), min_size=k, max_size=k))
+    ns = draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    return w_t, params, ns
+
+
+def snapshot(updates):
+    """Deep copy of every field of every update."""
+    return [copy.deepcopy(vars(u)) for u in updates]
+
+
+def assert_unchanged(updates, before):
+    for u, fields in zip(updates, before):
+        assert vars(u).keys() == fields.keys()
+        for name, value in fields.items():
+            assert np.array_equal(getattr(u, name), value), name
 
 
 def naive_weighted_mean(params_list, num_samples):
@@ -406,12 +438,14 @@ class TestDpAggregate:
             history.append(state.clip_norm)
         assert all(a < b for a, b in zip(history, history[1:]))
 
-    def test_records_pre_clip_norms(self):
+    def test_inputs_left_unchanged(self):
         cfg = self.cfg()
-        w_t = np.zeros(2)
-        updates = updates_from(w_t, [[3.0, 4.0]])
+        w_t = np.array([1.0, -2.0])
+        updates = updates_from(w_t, [[3.0, 4.0], [0.01, 0.0]], num_samples=[5, 7])
+        before = snapshot(updates)
         aggregate_dp(w_t, updates, initial_state(cfg), cfg, np.random.default_rng(0))
-        assert abs(updates[0].pre_clip_norm - 5.0) < 1e-12
+        assert np.array_equal(w_t, [1.0, -2.0])
+        assert_unchanged(updates, before)
 
 
 class TestSharedProperties:
@@ -426,12 +460,11 @@ class TestSharedProperties:
             ("dp", StrategyConfig(kind="dp", dp_noise_multiplier=0.0)),
         ]
 
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(81)
-        w_t = rng.normal(size=12)
-        params = [rng.normal(size=12) for _ in range(7)]
-        ns = [int(n) for n in rng.integers(1, 20, size=7)]
-        order = rng.permutation(7)
+    @settings(max_examples=60, deadline=None)
+    @given(round_inputs(), st.data())
+    def test_permutation_invariance(self, inputs, data):
+        w_t, params, ns = inputs
+        order = data.draw(st.permutations(range(len(params))))
         for kind, cfg in self.strategies():
             forward = Strategy(cfg).aggregate(
                 w_t, updates_with_params(params, ns), rng=np.random.default_rng(0)
@@ -445,16 +478,44 @@ class TestSharedProperties:
             )
             np.testing.assert_allclose(forward, shuffled, atol=1e-12, err_msg=kind)
 
-    def test_consensus_fixed_point(self):
-        rng = np.random.default_rng(91)
-        w_t = rng.normal(size=10)
-        updates = updates_with_params([w_t.copy() for _ in range(5)],
-                                      [3, 1, 4, 1, 5])
+    @settings(max_examples=60, deadline=None)
+    @given(round_inputs())
+    def test_consensus_fixed_point(self, inputs):
+        w_t, params, ns = inputs
+        updates = updates_with_params([w_t.copy() for _ in params], ns)
         for kind, cfg in self.strategies():
             out = Strategy(cfg).aggregate(
                 w_t, updates, rng=np.random.default_rng(0)
             )
             np.testing.assert_allclose(out, w_t, atol=1e-12, err_msg=kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(round_inputs())
+    def test_inputs_left_unchanged(self, inputs):
+        w_t, params, ns = inputs
+        for kind, cfg in [*self.strategies(), ("dp noisy", StrategyConfig(kind="dp"))]:
+            updates = updates_with_params(params, ns)
+            before, w_before = snapshot(updates), w_t.copy()
+            Strategy(cfg).aggregate(w_t, updates, rng=np.random.default_rng(0))
+            assert np.array_equal(w_t, w_before), kind
+            assert_unchanged(updates, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_median_bounded_by_honest_clients(self, data):
+        """Fewer than half the clients corrupted: every coordinate of the
+        median lies within the honest clients' range."""
+        dim = data.draw(st.integers(1, 5))
+        honest = data.draw(st.lists(vectors(dim), min_size=1, max_size=8))
+        attackers = data.draw(st.lists(vectors(dim, bound=1e6),
+                                       max_size=len(honest) - 1))
+        clients = data.draw(st.permutations(honest + attackers))
+        out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
+            np.zeros(dim), updates_with_params(clients)
+        )
+        stacked = np.stack(honest)
+        assert np.all(stacked.min(axis=0) <= out)
+        assert np.all(out <= stacked.max(axis=0))
 
     def test_reduction_chain_to_fedavg(self):
         rng = np.random.default_rng(101)
@@ -495,7 +556,7 @@ class TestConfigValidation:
             StrategyConfig(kind="fedadam", adaptivity=0.0).validate()
 
     def test_default_server_lr_by_kind(self):
-        assert StrategyConfig(kind="fedadam").lr == 0.1
+        assert StrategyConfig(kind="fedadam").lr == 0.01
         assert StrategyConfig(kind="fedadagrad").lr == 0.1
         assert StrategyConfig(kind="fedavgm").lr == 1.0
         assert StrategyConfig(kind="fedavgm", server_lr=0.25).lr == 0.25
