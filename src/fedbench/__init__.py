@@ -34,7 +34,6 @@ from .simulation import (
     ExperimentConfig,
     ExperimentResult,
     RoundMetrics,
-    TimingRecord,
     evaluate_centralized,
     run_experiment,
     run_round,

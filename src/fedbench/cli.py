@@ -79,7 +79,7 @@ def _execute_one(args: tuple[ExperimentConfig, str, int, str]) -> dict:
         return {"ok": True, "run_id": run_id, "summary": bundle.summary}
     except ExperimentAborted as err:
         # Flush the rounds that completed before the failure.
-        bundle = ResultsBundle.partial(cfg, err.metrics, run_id, replicate, str(err))
+        bundle = ResultsBundle.partial(err.config, err.metrics, run_id, replicate, str(err))
         write_results(bundle, out_dir)
         return {"ok": False, "run_id": run_id, "error": str(err), "summary": None}
     except FedbenchError as err:

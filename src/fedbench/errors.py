@@ -31,9 +31,11 @@ class ExperimentAborted(FedbenchError):
     Attributes:
         metrics: per-round metric records completed before the failure.
         cause: the underlying error.
+        config: the run's config with dims and seeds resolved.
     """
 
-    def __init__(self, message, metrics, cause):
+    def __init__(self, message, metrics, cause, config):
         super().__init__(message)
         self.metrics = metrics
         self.cause = cause
+        self.config = config

@@ -255,18 +255,17 @@ def _mean_rows(rows: list[dict]) -> list[dict]:
     for row in rows:
         base = _REP_SUFFIX.sub("", str(row["run_id"]))
         groups.setdefault(base, []).append(row)
+    numeric = [
+        "final_acc", "final_loss",
+        "mean_agg_time_s", "mean_train_time_s", "mean_comm_time_s",
+    ]
     means = []
     for base, members in sorted(groups.items()):
         if len(members) < 2:
             continue
-        numeric = [
-            "final_acc", "final_loss",
-            "mean_agg_time_s", "mean_train_time_s", "mean_comm_time_s",
-        ]
         mean_row = dict(members[0])
         mean_row["run_id"] = base
         mean_row["replicate"] = "mean"
-        mean_row["rounds"] = members[0]["rounds"]
         for col in numeric:
             values = [m[col] for m in members if m[col] is not None]
             mean_row[col] = sum(values) / len(values) if values else None
@@ -286,24 +285,26 @@ def summary_row_from_rounds_csv(path: Path) -> dict:
     last = rows[-1]
     run_id = last["run_id"]
     rep_match = re.search(r"_rep(\d+)$", run_id)
-    return {
+    row = {
         "run_id": run_id,
         "strategy": last["strategy"],
         "dataset": last["dataset"],
         "partition_mode": last["partition_mode"],
         "alpha": float(last["alpha"]) if last["alpha"] else None,
         "replicate": int(rep_match.group(1)) if rep_match else 0,
-        "rounds": len(rows),
-        "final_acc": float(last["acc"]),
-        "final_loss": float(last["loss"]),
-        "mean_agg_time_s": _col_mean(rows, "agg_time_s"),
-        "mean_train_time_s": _col_mean(rows, "train_time_s"),
-        "mean_comm_time_s": _col_mean(rows, "comm_time_s"),
     }
-
-
-def _col_mean(rows: list[dict], column: str) -> float:
-    return sum(float(r[column]) for r in rows) / len(rows)
+    row.update(summarize_rounds([
+        RoundMetrics(
+            round=int(r["round"]),
+            centralized_accuracy=float(r["acc"]),
+            centralized_loss=float(r["loss"]),
+            agg_time_s=float(r["agg_time_s"]),
+            train_time_s=float(r["train_time_s"]),
+            comm_time_s=float(r["comm_time_s"]),
+        )
+        for r in rows
+    ]))
+    return row
 
 
 def regenerate_summary(out_dir: str | Path) -> Path:

@@ -1,4 +1,4 @@
-"""Round loop: broadcast, parallel local training, aggregation, centralized
+"""Round loop: broadcast, local training, aggregation, centralized
 evaluation, and per-round metric capture.
 
 Learning metrics (accuracy, loss) are a pure function of the experiment
@@ -9,7 +9,6 @@ determinism contract.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,13 +55,6 @@ def replica_seed(base_seed: int, replicate: int) -> int:
     if replicate == 0:
         return base_seed
     return derived_seed(base_seed, _TAG_REPLICA, replicate)
-
-
-@dataclass
-class TimingRecord:
-    train_seconds: float = 0.0
-    serialize_seconds: float = 0.0
-    deserialize_seconds: float = 0.0
 
 
 @dataclass
@@ -203,17 +195,11 @@ def _client_round(
     round_idx: int,
 ) -> ClientUpdate:
     """Simulated downlink, local training, and uplink for one client."""
-    timing = TimingRecord()
-
     t0 = time.perf_counter()
     payload = global_params.tobytes()
-    t1 = time.perf_counter()
     local_params = np.frombuffer(payload, dtype=np.float64).copy()
-    t2 = time.perf_counter()
-    timing.serialize_seconds += t1 - t0
-    timing.deserialize_seconds += t2 - t1
+    comm_seconds = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     try:
         trained = train_local(
             local_params,
@@ -229,21 +215,17 @@ def _client_round(
         raise NumericError(
             f"client {shard.client_id} failed in round {round_idx}: {err}"
         ) from err
-    timing.train_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     reply = trained.tobytes()
-    t1 = time.perf_counter()
     received = np.frombuffer(reply, dtype=np.float64).copy()
-    t2 = time.perf_counter()
-    timing.serialize_seconds += t1 - t0
-    timing.deserialize_seconds += t2 - t1
+    comm_seconds += time.perf_counter() - t0
 
     return ClientUpdate(
         client_id=shard.client_id,
         new_params=received,
         num_samples=len(shard),
-        timing=timing,
+        comm_seconds=comm_seconds,
     )
 
 
@@ -259,25 +241,24 @@ def run_round(
     eval_features: Array,
     eval_labels: Array,
     adversary: AdversarySpec | None = None,
-    pool: ThreadPoolExecutor | None = None,
 ) -> tuple[Array, RoundMetrics]:
-    """Execute one communication round and measure the paper-style metrics."""
+    """Execute one communication round and measure the paper-style metrics.
+
+    Clients train one after another in the calling thread, so train_time_s
+    is the sum of the clients' broadcast-to-reply times.
+    """
     if not clients:
         raise ConfigError("round needs at least one client")
 
-    prox_mu = strategy.client_prox_mu
-
-    def job(shard: ClientShard) -> ClientUpdate:
-        rng = derived_rng(master_seed, round_idx, shard.client_id, _TAG_TRAIN)
-        return _client_round(global_params, shard, model, local, rng, prox_mu, round_idx)
-
     train_start = time.perf_counter()
-    if pool is None:
-        updates = [job(shard) for shard in clients]
-    else:
-        # Futures are collected in client-id order so learning metrics stay
-        # deterministic regardless of scheduling.
-        updates = [f.result() for f in [pool.submit(job, s) for s in clients]]
+    updates = [
+        _client_round(
+            global_params, shard, model, local,
+            derived_rng(master_seed, round_idx, shard.client_id, _TAG_TRAIN),
+            strategy.client_prox_mu, round_idx,
+        )
+        for shard in clients
+    ]
     train_time = time.perf_counter() - train_start
 
     for u in updates:
@@ -309,11 +290,7 @@ def run_round(
         raise NumericError(f"aggregation produced non-finite parameters in round {round_idx}")
 
     acc, loss = evaluate_centralized(new_params, model, eval_features, eval_labels)
-    comm_time = sum(
-        u.timing.serialize_seconds + u.timing.deserialize_seconds
-        for u in updates
-        if u.timing is not None
-    )
+    comm_time = sum(u.comm_seconds for u in updates)
     metrics = RoundMetrics(
         round=round_idx,
         centralized_accuracy=acc,
@@ -345,11 +322,12 @@ def build_shards(train: Dataset, spec: PartitionSpec) -> list[ClientShard]:
     ]
 
 
-def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full round loop for one configuration.
 
     Configuration problems surface before round 1. A numeric failure mid-run
-    raises ExperimentAborted carrying the metrics collected so far.
+    raises ExperimentAborted carrying the metrics collected so far and the
+    resolved config.
     """
     cfg.validate()
     train, test = load_dataset(cfg.dataset, cfg.data_dir, cfg.synthetic)
@@ -385,33 +363,31 @@ def run_experiment(cfg: ExperimentConfig, max_workers: int | None = None) -> Exp
         Dataset(train_x, train_y, train.name, train.num_classes), pspec
     )
 
+    resolved = replace(cfg, model=model, partition=pspec)
     global_params = init_model(model)
     strategy = Strategy(cfg.strategy)
 
     metrics: list[RoundMetrics] = []
-    workers = max_workers if max_workers is not None else min(cfg.num_clients, 8)
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for round_idx in range(1, cfg.rounds + 1):
-            try:
-                global_params, record = run_round(
-                    global_params,
-                    shards,
-                    strategy,
-                    round_idx,
-                    model=model,
-                    local=cfg.local,
-                    master_seed=cfg.master_seed,
-                    eval_features=eval_x,
-                    eval_labels=eval_y,
-                    adversary=cfg.adversary,
-                    pool=pool,
-                )
-            except NumericError as err:
-                raise ExperimentAborted(str(err), metrics, err) from err
-            metrics.append(record)
+    for round_idx in range(1, cfg.rounds + 1):
+        try:
+            global_params, record = run_round(
+                global_params,
+                shards,
+                strategy,
+                round_idx,
+                model=model,
+                local=cfg.local,
+                master_seed=cfg.master_seed,
+                eval_features=eval_x,
+                eval_labels=eval_y,
+                adversary=cfg.adversary,
+            )
+        except NumericError as err:
+            raise ExperimentAborted(str(err), metrics, err, resolved) from err
+        metrics.append(record)
 
     return ExperimentResult(
-        config=replace(cfg, model=model, partition=pspec),
+        config=resolved,
         metrics=metrics,
         final_params=global_params,
         strategy_state=strategy.state,

@@ -12,14 +12,10 @@ so plain weighted averaging is exactly w_t + delta.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, ShapeError
-
-if TYPE_CHECKING:
-    from .simulation import TimingRecord
 
 Array = np.ndarray
 
@@ -36,7 +32,7 @@ class ClientUpdate:
     client_id: int
     new_params: Array
     num_samples: int
-    timing: "TimingRecord | None" = None
+    comm_seconds: float = 0.0  # simulated downlink + uplink (de)serialization
 
 
 Updates = list[ClientUpdate]

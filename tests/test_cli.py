@@ -1,10 +1,12 @@
 """End-to-end CLI: validate, run, summarize, exit codes."""
 
 import csv
+import json
 
 import pytest
 
 from fedbench.cli import main
+from fedbench.simulation import _TAG_MODEL_INIT, _TAG_PARTITION, derived_seed
 
 TINY = """
 [experiment]
@@ -110,7 +112,12 @@ def test_numeric_failure_exits_2_with_partial_flush(tmp_path, capsys):
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
     # Partial results flushed: rounds.csv exists even though the run aborted.
-    assert (out_dir / "fedavg_synthetic_iid_rep0" / "rounds.csv").exists()
+    run_dir = out_dir / "fedavg_synthetic_iid_rep0"
+    assert (run_dir / "rounds.csv").exists()
+    # The snapshot records the seeds the run derived, as a completed run does.
+    config = json.loads((run_dir / "run.json").read_text())["config"]
+    assert config["partition"]["seed"] == derived_seed(3, _TAG_PARTITION)
+    assert config["model"]["init_seed"] == derived_seed(3, _TAG_MODEL_INIT)
 
 
 def test_missing_config_exits_1(tmp_path):

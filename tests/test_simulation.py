@@ -1,6 +1,8 @@
 """Round loop: timing capture, determinism, participation, failure handling."""
 
 import copy
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from fedbench import (
     run_experiment,
     run_round,
 )
+import fedbench.simulation
 from fedbench.simulation import replica_seed
 
 
@@ -240,10 +243,27 @@ class TestRunExperiment:
     def test_caller_config_left_unchanged(self):
         cfg = tiny_config(rounds=1)
         before = copy.deepcopy(cfg)
-        result = run_experiment(cfg, max_workers=1)
+        result = run_experiment(cfg)
         assert cfg == before
         assert result.config.model.init_seed is not None
         assert result.config.partition.seed is not None
+
+    def test_clients_train_serially_on_calling_thread(self, monkeypatch):
+        threads = []
+        real_train_local = fedbench.simulation.train_local
+
+        def slow_train_local(*args, **kwargs):
+            threads.append(threading.current_thread())
+            time.sleep(0.005)
+            return real_train_local(*args, **kwargs)
+
+        monkeypatch.setattr(fedbench.simulation, "train_local", slow_train_local)
+        cfg = tiny_config(rounds=2)
+        result = run_experiment(cfg)
+        assert threads == [threading.main_thread()] * (cfg.num_clients * cfg.rounds)
+        # Serial clients: a round's train time covers every client's sleep.
+        for m in result.metrics:
+            assert m.train_time_s >= cfg.num_clients * 0.005
 
     def test_mismatched_model_dims_rejected(self):
         cfg = tiny_config(model=ModelSpec(5, [16], 3))
