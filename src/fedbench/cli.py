@@ -14,6 +14,7 @@ import argparse
 import copy
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from .config import parse_config, run_id_for
@@ -79,7 +80,7 @@ def _execute_one(args: tuple[ExperimentConfig, str, int, str]) -> dict:
         return {"ok": True, "run_id": run_id, "summary": bundle.summary}
     except ExperimentAborted as err:
         # Flush the rounds that completed before the failure.
-        bundle = ResultsBundle.partial(err.config, err.metrics, run_id, replicate, str(err))
+        bundle = ResultsBundle.from_result(err.result, run_id, replicate, error=str(err))
         write_results(bundle, out_dir)
         return {"ok": False, "run_id": run_id, "error": str(err), "summary": None}
     except FedbenchError as err:
@@ -94,15 +95,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     jobs = [(cfg, run_id, rep, str(out_dir)) for cfg, run_id, rep in runs]
     print(f"running {len(jobs)} experiment(s) -> {out_dir}")
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_execute_one, jobs))
-    else:
-        outcomes = []
-        for job in jobs:
-            outcomes.append(_execute_one(job))
-            status = "ok" if outcomes[-1]["ok"] else f"FAILED: {outcomes[-1]['error']}"
-            print(f"  {job[1]}: {status}")
+    outcomes = []
+    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        # Both maps yield in grid order, so progress prints in grid order.
+        for outcome in (map if pool is None else pool.map)(_execute_one, jobs):
+            outcomes.append(outcome)
+            status = "ok" if outcome["ok"] else f"FAILED: {outcome['error']}"
+            print(f"  {outcome['run_id']}: {status}", flush=True)
 
     summary_rows = [o["summary"] for o in outcomes if o["summary"] is not None]
     if summary_rows:

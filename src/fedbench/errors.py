@@ -1,5 +1,12 @@
 """Exception hierarchy shared across the package."""
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .simulation import ExperimentResult
+
 
 class FedbenchError(Exception):
     """Base class for all errors raised by fedbench."""
@@ -26,16 +33,14 @@ class NumericError(FedbenchError):
 
 
 class ExperimentAborted(FedbenchError):
-    """A run failed mid-way; carries the metrics collected so far.
+    """A run failed mid-way; the underlying error is ``__cause__``.
 
     Attributes:
-        metrics: per-round metric records completed before the failure.
-        cause: the underlying error.
-        config: the run's config with dims and seeds resolved.
+        result: the ExperimentResult of the rounds that completed, with the
+            global params after the last of them and the strategy state that
+            goes with those params.
     """
 
-    def __init__(self, message, metrics, cause, config):
+    def __init__(self, message: str, result: ExperimentResult):
         super().__init__(message)
-        self.metrics = metrics
-        self.cause = cause
-        self.config = config
+        self.result = result

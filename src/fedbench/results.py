@@ -18,20 +18,31 @@ import datetime
 import json
 import platform
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .config import config_to_dict
 from .errors import ConfigError
 from .partition import GENERATOR_NAME
-from .simulation import ExperimentConfig, ExperimentResult, RoundMetrics
+from .simulation import ExperimentResult, RoundMetrics
 
-ROUNDS_COLUMNS = [
-    "run_id", "strategy", "dataset", "partition_mode", "alpha",
-    "round", "acc", "loss", "agg_time_s", "train_time_s", "comm_time_s",
-]
+_IDENTITY_COLUMNS = ["run_id", "strategy", "dataset", "partition_mode", "alpha"]
+
+# Per-round column in rounds.csv and run.json -> RoundMetrics field.
+_ROUND_FIELDS = {
+    "round": "round",
+    "acc": "centralized_accuracy",
+    "loss": "centralized_loss",
+    "agg_time_s": "agg_time_s",
+    "train_time_s": "train_time_s",
+    "comm_time_s": "comm_time_s",
+}
+_ROUND_TYPES = get_type_hints(RoundMetrics)
+
+ROUNDS_COLUMNS = _IDENTITY_COLUMNS + list(_ROUND_FIELDS)
 
 SUMMARY_COLUMNS = [
     "run_id", "strategy", "dataset", "partition_mode", "alpha", "replicate",
@@ -58,29 +69,8 @@ class ResultsBundle:
     rounds: list[RoundMetrics]
     summary: dict
     metadata: dict
-    final_params: np.ndarray | None = None
-    state_arrays: dict = field(default_factory=dict)
-
-    @classmethod
-    def partial(
-        cls,
-        cfg: ExperimentConfig,
-        metrics: list[RoundMetrics],
-        run_id: str,
-        replicate: int,
-        error: str,
-    ) -> "ResultsBundle":
-        """Bundle for an aborted run: whatever rounds completed, no state."""
-        summary = summarize_rounds(metrics)
-        summary.update(_run_identity(cfg, run_id, replicate))
-        return cls(
-            run_id=run_id,
-            replicate=replicate,
-            config=config_to_dict(cfg),
-            rounds=list(metrics),
-            summary=summary,
-            metadata={"aborted": error, "replicate": replicate},
-        )
+    final_params: np.ndarray
+    state_arrays: dict
 
     @classmethod
     def from_result(
@@ -90,15 +80,19 @@ class ResultsBundle:
         replicate: int = 0,
         error: str | None = None,
     ) -> "ResultsBundle":
+        """Bundle one run; error, when given, marks an aborted run's metadata."""
         cfg = result.config
         summary = summarize_rounds(result.metrics)
-        summary.update(_run_identity(cfg, run_id, replicate))
+        summary.update({
+            "run_id": run_id,
+            "strategy": cfg.strategy.kind,
+            "dataset": cfg.dataset,
+            "partition_mode": cfg.partition.mode,
+            "alpha": cfg.partition.alpha if cfg.partition.mode == "dirichlet" else None,
+            "replicate": replicate,
+        })
         state = result.strategy_state
-        state_arrays = {}
-        for name in ("momentum_buffer", "first_moment", "second_moment"):
-            arr = getattr(state, name)
-            if arr is not None:
-                state_arrays[name] = arr
+        state_arrays = {k: v for k, v in vars(state).items() if isinstance(v, np.ndarray)}
         metadata = {
             "fedbench_version": _package_version(),
             "numpy_version": np.__version__,
@@ -137,17 +131,6 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _run_identity(cfg: ExperimentConfig, run_id: str, replicate: int) -> dict:
-    return {
-        "run_id": run_id,
-        "strategy": cfg.strategy.kind,
-        "dataset": cfg.dataset,
-        "partition_mode": cfg.partition.mode,
-        "alpha": cfg.partition.alpha if cfg.partition.mode == "dirichlet" else None,
-        "replicate": replicate,
-    }
-
-
 def summarize_rounds(rounds: list[RoundMetrics]) -> dict:
     """Final accuracy/loss plus arithmetic means of the timing columns."""
     if not rounds:
@@ -180,28 +163,12 @@ def write_results(bundle: ResultsBundle, out_dir: str | Path) -> Path:
 
 
 def _write_rounds_csv(bundle: ResultsBundle, path: Path) -> None:
-    identity = [
-        bundle.summary["run_id"],
-        bundle.summary["strategy"],
-        bundle.summary["dataset"],
-        bundle.summary["partition_mode"],
-        _fmt(bundle.summary["alpha"]),
-    ]
+    identity = [_fmt(bundle.summary[c]) for c in _IDENTITY_COLUMNS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ROUNDS_COLUMNS)
         for r in bundle.rounds:
-            writer.writerow(
-                identity
-                + [
-                    r.round,
-                    _fmt(r.centralized_accuracy),
-                    _fmt(r.centralized_loss),
-                    _fmt(r.agg_time_s),
-                    _fmt(r.train_time_s),
-                    _fmt(r.comm_time_s),
-                ]
-            )
+            writer.writerow(identity + [_fmt(getattr(r, f)) for f in _ROUND_FIELDS.values()])
 
 
 def _write_run_json(bundle: ResultsBundle, path: Path) -> None:
@@ -210,15 +177,7 @@ def _write_run_json(bundle: ResultsBundle, path: Path) -> None:
         "replicate": bundle.replicate,
         "config": bundle.config,
         "rounds": [
-            {
-                "round": r.round,
-                "acc": r.centralized_accuracy,
-                "loss": r.centralized_loss,
-                "agg_time_s": r.agg_time_s,
-                "train_time_s": r.train_time_s,
-                "comm_time_s": r.comm_time_s,
-                "clip_norm": r.clip_norm,
-            }
+            {c: getattr(r, f) for c, f in _ROUND_FIELDS.items()} | {"clip_norm": r.clip_norm}
             for r in bundle.rounds
         ],
         "summary": bundle.summary,
@@ -231,10 +190,7 @@ def _write_run_json(bundle: ResultsBundle, path: Path) -> None:
 
 
 def _write_state(bundle: ResultsBundle, path: Path) -> None:
-    arrays = dict(bundle.state_arrays)
-    if bundle.final_params is not None:
-        arrays["final_params"] = bundle.final_params
-    np.savez_compressed(path, **arrays)
+    np.savez_compressed(path, **bundle.state_arrays, final_params=bundle.final_params)
 
 
 def write_summary(rows: list[dict], out_dir: str | Path) -> Path:
@@ -282,36 +238,34 @@ def summary_row_from_rounds_csv(path: Path) -> dict:
         rows = list(reader)
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    last = rows[-1]
-    run_id = last["run_id"]
-    rep_match = re.search(r"_rep(\d+)$", run_id)
-    row = {
-        "run_id": run_id,
-        "strategy": last["strategy"],
-        "dataset": last["dataset"],
-        "partition_mode": last["partition_mode"],
-        "alpha": float(last["alpha"]) if last["alpha"] else None,
-        "replicate": int(rep_match.group(1)) if rep_match else 0,
-    }
+    row = {c: rows[-1][c] for c in _IDENTITY_COLUMNS}
+    row["alpha"] = float(row["alpha"]) if row["alpha"] else None
+    rep_match = re.search(r"_rep(\d+)$", row["run_id"])
+    row["replicate"] = int(rep_match.group(1)) if rep_match else 0
     row.update(summarize_rounds([
-        RoundMetrics(
-            round=int(r["round"]),
-            centralized_accuracy=float(r["acc"]),
-            centralized_loss=float(r["loss"]),
-            agg_time_s=float(r["agg_time_s"]),
-            train_time_s=float(r["train_time_s"]),
-            comm_time_s=float(r["comm_time_s"]),
-        )
+        RoundMetrics(**{f: _ROUND_TYPES[f](r[c]) for c, f in _ROUND_FIELDS.items()})
         for r in rows
     ]))
     return row
 
 
 def regenerate_summary(out_dir: str | Path) -> Path:
-    """Scan <out_dir>/*/rounds.csv and rewrite summary.csv from them."""
+    """Rewrite summary.csv from the rounds.csv of every completed run under
+    out_dir; aborted runs are left out, as `fedbench run` leaves them out."""
     out_dir = Path(out_dir)
     files = sorted(out_dir.glob("*/rounds.csv"))
     if not files:
         raise ConfigError(f"no rounds.csv files found under {out_dir}")
-    rows = [summary_row_from_rounds_csv(f) for f in files]
+    rows = [summary_row_from_rounds_csv(f) for f in files if not _aborted(f.parent)]
+    if not rows:
+        raise ConfigError(f"no completed runs under {out_dir}")
     return write_summary(rows, out_dir)
+
+
+def _aborted(run_dir: Path) -> bool:
+    path = run_dir / "run.json"
+    try:
+        with open(path) as fh:
+            return "aborted" in json.load(fh)["metadata"]
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise ConfigError(f"{path}: cannot read run metadata: {err!r}") from err

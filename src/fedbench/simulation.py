@@ -15,7 +15,7 @@ import numpy as np
 
 from .adversary import AdversarySpec, corrupt
 from .data import Dataset, SyntheticSpec, load_dataset
-from .errors import ConfigError, ExperimentAborted, NumericError
+from .errors import ConfigError, ExperimentAborted, FedbenchError, NumericError
 from .model import (
     LocalOptimizerConfig,
     ModelSpec,
@@ -325,9 +325,9 @@ def build_shards(train: Dataset, spec: PartitionSpec) -> list[ClientShard]:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the full round loop for one configuration.
 
-    Configuration problems surface before round 1. A numeric failure mid-run
-    raises ExperimentAborted carrying the metrics collected so far and the
-    resolved config.
+    Configuration problems surface before round 1. Any FedbenchError raised
+    in a round is re-raised as ExperimentAborted, carrying the result of the
+    rounds completed before it.
     """
     cfg.validate()
     train, test = load_dataset(cfg.dataset, cfg.data_dir, cfg.synthetic)
@@ -367,7 +367,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     global_params = init_model(model)
     strategy = Strategy(cfg.strategy)
 
-    metrics: list[RoundMetrics] = []
+    # Holds the rounds completed so far; ExperimentAborted carries it.
+    result = ExperimentResult(
+        config=resolved,
+        metrics=[],
+        final_params=global_params,
+        strategy_state=strategy.state,
+        train_size=train_x.shape[0],
+        eval_size=eval_x.shape[0],
+    )
     for round_idx in range(1, cfg.rounds + 1):
         try:
             global_params, record = run_round(
@@ -382,15 +390,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 eval_labels=eval_y,
                 adversary=cfg.adversary,
             )
-        except NumericError as err:
-            raise ExperimentAborted(str(err), metrics, err, resolved) from err
-        metrics.append(record)
-
-    return ExperimentResult(
-        config=resolved,
-        metrics=metrics,
-        final_params=global_params,
-        strategy_state=strategy.state,
-        train_size=train_x.shape[0],
-        eval_size=eval_x.shape[0],
-    )
+        except FedbenchError as err:
+            raise ExperimentAborted(str(err), result) from err
+        result.metrics.append(record)
+        result.final_params = global_params
+        result.strategy_state = strategy.state
+    return result

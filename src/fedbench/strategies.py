@@ -89,7 +89,6 @@ class StrategyConfig:
 class StrategyState:
     """Persistent server-side state, carried across rounds."""
 
-    kind: str = "fedavg"
     round_index: int = 0
     momentum_buffer: Array | None = None
     first_moment: Array | None = None
@@ -99,7 +98,7 @@ class StrategyState:
 
 def initial_state(cfg: StrategyConfig) -> StrategyState:
     clip_norm = cfg.dp_initial_clip if cfg.kind == "dp" else 0.0
-    return StrategyState(kind=cfg.kind, clip_norm=clip_norm)
+    return StrategyState(clip_norm=clip_norm)
 
 
 def _check_updates(global_params: Array, updates: Updates) -> None:

@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 The learning-dynamics criteria execute full federated runs (10 clients x 25
 rounds and 20 clients x 50 rounds on the 784-dim surrogate task) and take
-around 15 minutes total on a laptop CPU. When real MNIST IDX files are
+about 5 minutes in total on 2 CPU cores. When real MNIST IDX files are
 available (FEDBENCH_DATA_DIR), those criteria run on MNIST instead.
 """
 

@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from fedbench.cli import main
@@ -30,6 +31,14 @@ kind = fedavg, fedmedian
 [local]
 learning_rate = 0.01
 """
+
+# fedavg completes; fedavgm's server step blows up and aborts it in round 3.
+ONE_ABORTS_PARTWAY = (
+    TINY.replace("rounds = 2", "rounds = 3")
+        .replace("kind = fedavg, fedmedian", "kind = fedavg, fedavgm\nserver_lr = 1e100")
+        .replace("[local]", "[local]\noptimizer = sgd")
+        .replace("learning_rate = 0.01", "learning_rate = 0.1")
+)
 
 
 @pytest.fixture
@@ -70,13 +79,16 @@ def test_run_grid_with_replicas(config_path, tmp_path):
     assert sorted(r["replicate"] for r in rows) == ["0", "0", "1", "1", "mean", "mean"]
 
 
-def test_run_parallel_jobs(config_path, tmp_path):
+def test_run_parallel_jobs(config_path, tmp_path, capsys):
     out_dir = tmp_path / "out-jobs"
     rc = main([
         "run", "--config", str(config_path), "--out", str(out_dir), "--jobs", "2",
     ])
     assert rc == 0
     assert (out_dir / "summary.csv").exists()
+    out = capsys.readouterr().out
+    for run_id in ["fedavg_synthetic_iid_rep0", "fedmedian_synthetic_iid_rep0"]:
+        assert f"  {run_id}: ok\n" in out
 
 
 def test_seed_override_changes_results(config_path, tmp_path):
@@ -88,10 +100,20 @@ def test_seed_override_changes_results(config_path, tmp_path):
     assert a != b
 
 
-def test_summarize_rebuilds(config_path, tmp_path):
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "grid, completed", [(TINY, 2), (ONE_ABORTS_PARTWAY, 1)], ids=["completed", "one_aborts"]
+)
+def test_summarize_rebuilds(grid, completed, tmp_path):
+    path = tmp_path / "exp.ini"
+    path.write_text(grid)
     out_dir = tmp_path / "out"
-    main(["run", "--config", str(config_path), "--out", str(out_dir)])
+    main(["run", "--config", str(path), "--out", str(out_dir)])
+    # Both runs wrote some rounds; only completed runs get a summary row.
+    files = list(out_dir.glob("*/rounds.csv"))
+    assert len(files) == 2 and all(len(f.read_text().splitlines()) > 1 for f in files)
     before = (out_dir / "summary.csv").read_text()
+    assert len(before.splitlines()) == 1 + completed
     (out_dir / "summary.csv").unlink()
     assert main(["summarize", str(out_dir)]) == 0
     assert (out_dir / "summary.csv").read_text() == before
@@ -102,7 +124,7 @@ def test_summarize_empty_dir(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_numeric_failure_exits_2_with_partial_flush(tmp_path, capsys):
+def test_numeric_failure_exits_2_with_partial_flush(config_path, tmp_path, capsys):
     path = tmp_path / "explode.ini"
     path.write_text(TINY.replace("kind = fedavg, fedmedian", "kind = fedavg")
                         .replace("learning_rate = 0.01", "learning_rate = 1e300")
@@ -118,6 +140,16 @@ def test_numeric_failure_exits_2_with_partial_flush(tmp_path, capsys):
     config = json.loads((run_dir / "run.json").read_text())["config"]
     assert config["partition"]["seed"] == derived_seed(3, _TAG_PARTITION)
     assert config["model"]["init_seed"] == derived_seed(3, _TAG_MODEL_INIT)
+    # Its metadata holds everything a completed run's does, plus the error.
+    main(["run", "--config", str(config_path), "--out", str(tmp_path / "ok")])
+    completed = json.loads((tmp_path / "ok" / run_dir.name / "run.json").read_text())
+    metadata = json.loads((run_dir / "run.json").read_text())["metadata"]
+    assert set(metadata) == set(completed["metadata"]) | {"aborted"}
+    assert "non-finite" in metadata["aborted"]
+    with np.load(run_dir / "state.npz") as state:
+        assert "final_params" in state.files
+    # Every run aborted, so there is no summary to rebuild.
+    assert main(["summarize", str(out_dir)]) == 1
 
 
 def test_missing_config_exits_1(tmp_path):

@@ -16,6 +16,7 @@ from fedbench import (
     ModelSpec,
     NumericError,
     PartitionSpec,
+    ProtocolError,
     Strategy,
     StrategyConfig,
     SyntheticSpec,
@@ -221,8 +222,35 @@ class TestRunExperiment:
             run_experiment(cfg)
         err = excinfo.value
         assert "round" in str(err)
-        assert isinstance(err.metrics, list)
-        assert len(err.metrics) < 5
+        assert isinstance(err.result.metrics, list)
+        assert len(err.result.metrics) < 5
+
+    def test_midrun_protocol_error_keeps_completed_rounds(self, monkeypatch):
+        real_aggregate = Strategy.aggregate
+
+        def failing_aggregate(self, global_params, updates, rng=None):
+            if self.state.round_index == 2:
+                raise ProtocolError("injected failure in round 3")
+            return real_aggregate(self, global_params, updates, rng)
+
+        monkeypatch.setattr(Strategy, "aggregate", failing_aggregate)
+        cfg = tiny_config(strategy=StrategyConfig(kind="fedavgm"), rounds=5)
+        with pytest.raises(ExperimentAborted) as excinfo:
+            run_experiment(cfg)
+        monkeypatch.undo()
+        assert isinstance(excinfo.value.__cause__, ProtocolError)
+        aborted = excinfo.value.result
+        assert len(aborted.metrics) == 2
+        assert aborted.strategy_state.round_index == 2
+
+        complete = run_experiment(tiny_config(strategy=StrategyConfig(kind="fedavgm"), rounds=2))
+        assert aborted.final_params.tobytes() == complete.final_params.tobytes()
+        assert (aborted.strategy_state.momentum_buffer.tobytes()
+                == complete.strategy_state.momentum_buffer.tobytes())
+        learning = [(m.round, m.centralized_accuracy, m.centralized_loss) for m in aborted.metrics]
+        assert learning == [
+            (m.round, m.centralized_accuracy, m.centralized_loss) for m in complete.metrics
+        ]
 
     def test_strategy_state_round_counter(self):
         result = run_experiment(tiny_config(rounds=3))
