@@ -55,6 +55,6 @@ from .strategies import (
     pseudo_gradient,
 )
 from .config import config_from_dict, config_to_dict, parse_config, run_id_for
-from .results import ResultsBundle, regenerate_summary, write_results, write_summary
+from .results import write_results, write_summary
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import parse_config, run_id_for
 from .errors import ConfigError, ExperimentAborted, FedbenchError
-from .results import ResultsBundle, regenerate_summary, write_results, write_summary
+from .results import write_results, write_summary
 from .simulation import ExperimentConfig, replica_seed, run_experiment
 
 
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="parse and validate a config file")
     val.add_argument("--config", required=True)
 
-    summ = sub.add_parser("summarize", help="rebuild summary.csv from rounds.csv files")
+    summ = sub.add_parser("summarize", help="rebuild summary.csv from the run.json files")
     summ.add_argument("out_dir")
     return parser
 
@@ -55,6 +55,8 @@ def _expand_runs(
 ) -> list[tuple[ExperimentConfig, str, int]]:
     if replicas < 1:
         raise ConfigError(f"--replicas must be >= 1, got {replicas}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     runs = []
     for cfg in configs:
         base_seed = seed if seed is not None else cfg.master_seed
@@ -70,24 +72,23 @@ def _expand_runs(
     return runs
 
 
-def _execute_one(args: tuple[ExperimentConfig, str, int, str]) -> dict:
-    """Run one experiment and write its files; returns a status record."""
+def _execute_one(args: tuple[ExperimentConfig, str, int, str]) -> str | None:
+    """Run one experiment and write its files; returns its error, or None."""
     cfg, run_id, replicate, out_dir = args
     try:
-        result = run_experiment(cfg)
-        bundle = ResultsBundle.from_result(result, run_id, replicate)
-        write_results(bundle, out_dir)
-        return {"ok": True, "run_id": run_id, "summary": bundle.summary}
+        write_results(run_experiment(cfg), run_id, out_dir, replicate)
     except ExperimentAborted as err:
         # Flush the rounds that completed before the failure.
-        bundle = ResultsBundle.from_result(err.result, run_id, replicate, error=str(err))
-        write_results(bundle, out_dir)
-        return {"ok": False, "run_id": run_id, "error": str(err), "summary": None}
+        write_results(err.result, run_id, out_dir, replicate, error=str(err))
+        return str(err)
     except FedbenchError as err:
-        return {"ok": False, "run_id": run_id, "error": str(err), "summary": None}
+        return str(err)
+    return None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     configs = parse_config(args.config)
     runs = _expand_runs(configs, args.replicas, args.seed, args.data_dir)
     out_dir = Path(args.out)
@@ -95,21 +96,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     jobs = [(cfg, run_id, rep, str(out_dir)) for cfg, run_id, rep in runs]
     print(f"running {len(jobs)} experiment(s) -> {out_dir}")
-    outcomes = []
-    with ProcessPoolExecutor(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    failures = []
+    workers = min(args.jobs, len(jobs))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # Both maps yield in grid order, so progress prints in grid order.
-        for outcome in (map if pool is None else pool.map)(_execute_one, jobs):
-            outcomes.append(outcome)
-            status = "ok" if outcome["ok"] else f"FAILED: {outcome['error']}"
-            print(f"  {outcome['run_id']}: {status}", flush=True)
+        errors = (map if pool is None else pool.map)(_execute_one, jobs)
+        for (_, run_id, _, _), error in zip(jobs, errors):
+            print(f"  {run_id}: {'ok' if error is None else f'FAILED: {error}'}", flush=True)
+            if error is not None:
+                failures.append((run_id, error))
 
-    summary_rows = [o["summary"] for o in outcomes if o["summary"] is not None]
-    if summary_rows:
-        write_summary(summary_rows, out_dir)
-
-    failures = [o for o in outcomes if not o["ok"]]
-    for failure in failures:
-        print(f"error: {failure['run_id']}: {failure['error']}", file=sys.stderr)
+    if len(failures) < len(jobs):
+        write_summary(out_dir)
+    for run_id, error in failures:
+        print(f"error: {run_id}: {error}", file=sys.stderr)
     return 2 if failures else 0
 
 
@@ -122,7 +122,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    path = regenerate_summary(args.out_dir)
+    path = write_summary(args.out_dir)
     print(f"wrote {path}")
     return 0
 

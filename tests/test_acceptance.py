@@ -8,6 +8,7 @@ available (FEDBENCH_DATA_DIR), those criteria run on MNIST instead.
 """
 
 import csv
+import json
 import math
 import os
 import time
@@ -23,7 +24,6 @@ from fedbench import (
     LocalOptimizerConfig,
     ModelSpec,
     PartitionSpec,
-    ResultsBundle,
     Strategy,
     StrategyConfig,
     SyntheticSpec,
@@ -376,32 +376,32 @@ def test_criterion_10_determinism_and_export(tmp_path, scale_up_runs):
     )
     learning_cols = ["run_id", "strategy", "dataset", "partition_mode",
                      "alpha", "round", "acc", "loss"]
-    texts, bundles = [], []
+    texts, results, summaries = [], [], []
     for sub in ("a", "b"):
         cfg = baseline_config(**cfg_kwargs)
         result = run_experiment(cfg)
-        bundle = ResultsBundle.from_result(result, run_id_for(cfg, 0), 0)
-        run_dir = write_results(bundle, tmp_path / sub)
+        run_dir = write_results(result, run_id_for(cfg, 0), tmp_path / sub)
         with open(run_dir / "rounds.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         texts.append("\n".join(",".join(r[c] for c in learning_cols) for r in rows))
-        bundles.append(bundle)
+        results.append(result)
+        summaries.append(json.loads((run_dir / "run.json").read_text())["summary"])
 
     identical = texts[0] == texts[1]
 
-    summary = bundles[0].summary
+    summary = summaries[0]
     mean_gap = max(
         abs(summary["mean_agg_time_s"]
-            - sum(m.agg_time_s for m in bundles[0].rounds) / 5),
+            - sum(m.agg_time_s for m in results[0].metrics) / 5),
         abs(summary["mean_train_time_s"]
-            - sum(m.train_time_s for m in bundles[0].rounds) / 5),
+            - sum(m.train_time_s for m in results[0].metrics) / 5),
         abs(summary["mean_comm_time_s"]
-            - sum(m.comm_time_s for m in bundles[0].rounds) / 5),
+            - sum(m.comm_time_s for m in results[0].metrics) / 5),
     )
 
     timings_positive = all(
         m.agg_time_s > 0 and m.train_time_s > 0 and m.comm_time_s > 0
-        for m in bundles[0].rounds
+        for m in results[0].metrics
     )
 
     # Aggregation stays sub-second per round at 20 clients (101,770 params).

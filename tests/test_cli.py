@@ -79,6 +79,42 @@ def test_run_grid_with_replicas(config_path, tmp_path):
     assert sorted(r["replicate"] for r in rows) == ["0", "0", "1", "1", "mean", "mean"]
 
 
+def test_pool_starts_no_more_workers_than_runs(config_path, tmp_path, monkeypatch):
+    started = []
+
+    class RecordingExecutor:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("fedbench.cli.ProcessPoolExecutor", RecordingExecutor)
+    rc = main([
+        "run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--jobs", "3",
+    ])
+    assert rc == 0
+    assert started == [2]  # the TINY grid has 2 runs
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"], ["--seed", "-1", "--replicas", "2"], ["--jobs", "0"], ["--jobs", "-3"],
+])
+def test_bad_seed_or_jobs_exits_1_before_any_run(flags, config_path, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir), *flags]) == 1
+    assert "must be >= " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_run_parallel_jobs(config_path, tmp_path, capsys):
     out_dir = tmp_path / "out-jobs"
     rc = main([
@@ -117,6 +153,24 @@ def test_summarize_rebuilds(grid, completed, tmp_path):
     (out_dir / "summary.csv").unlink()
     assert main(["summarize", str(out_dir)]) == 0
     assert (out_dir / "summary.csv").read_text() == before
+
+
+def test_two_grids_share_one_summary(config_path, tmp_path):
+    other = tmp_path / "other.ini"
+    other.write_text(TINY.replace("kind = fedavg, fedmedian", "kind = fedavgm"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    assert main(["run", "--config", str(other), "--out", str(out_dir)]) == 0
+    after_run = (out_dir / "summary.csv").read_text()
+    with open(out_dir / "summary.csv", newline="") as fh:
+        ids = [r["run_id"] for r in csv.DictReader(fh)]
+    assert ids == [
+        "fedavg_synthetic_iid_rep0", "fedavgm_synthetic_iid_rep0",
+        "fedmedian_synthetic_iid_rep0",
+    ]
+    (out_dir / "summary.csv").unlink()
+    assert main(["summarize", str(out_dir)]) == 0
+    assert (out_dir / "summary.csv").read_text() == after_run
 
 
 def test_summarize_empty_dir(tmp_path):

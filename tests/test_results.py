@@ -2,26 +2,29 @@
 
 import csv
 import json
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbench import (
     ExperimentConfig,
     LocalOptimizerConfig,
     ModelSpec,
     PartitionSpec,
-    ResultsBundle,
+    RoundMetrics,
     StrategyConfig,
     SyntheticSpec,
     config_from_dict,
-    regenerate_summary,
     run_experiment,
     write_results,
     write_summary,
 )
 from fedbench.config import run_id_for
-from fedbench.results import ROUNDS_COLUMNS, SUMMARY_COLUMNS
+from fedbench.results import ROUNDS_COLUMNS, SUMMARY_COLUMNS, _fmt, summarize_rounds
 
 
 def small_config(**overrides):
@@ -42,27 +45,25 @@ def small_config(**overrides):
 
 
 @pytest.fixture(scope="module")
-def run_and_bundle(tmp_path_factory):
+def written_run(tmp_path_factory):
     cfg = small_config()
     result = run_experiment(cfg)
-    run_id = run_id_for(cfg, 0)
-    bundle = ResultsBundle.from_result(result, run_id, replicate=0)
     out_dir = tmp_path_factory.mktemp("results")
-    run_dir = write_results(bundle, out_dir)
-    write_summary([bundle.summary], out_dir)
-    return cfg, result, bundle, out_dir, run_dir
+    run_dir = write_results(result, run_id_for(cfg, 0), out_dir)
+    write_summary(out_dir)
+    return cfg, result, out_dir, run_dir
 
 
 class TestRoundsCsv:
-    def test_row_count_and_header(self, run_and_bundle):
-        cfg, _, _, _, run_dir = run_and_bundle
+    def test_row_count_and_header(self, written_run):
+        cfg, _, _, run_dir = written_run
         with open(run_dir / "rounds.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ROUNDS_COLUMNS
         assert len(rows) == 1 + cfg.rounds
 
-    def test_round_column_increases(self, run_and_bundle):
-        *_, run_dir = run_and_bundle
+    def test_round_column_increases(self, written_run):
+        *_, run_dir = written_run
         with open(run_dir / "rounds.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["round"]) for r in rows] == [1, 2, 3, 4]
@@ -71,8 +72,8 @@ class TestRoundsCsv:
 
 
 class TestSummary:
-    def test_final_acc_equals_last_round(self, run_and_bundle):
-        _, result, bundle, out_dir, run_dir = run_and_bundle
+    def test_final_acc_equals_last_round(self, written_run):
+        _, result, out_dir, run_dir = written_run
         with open(run_dir / "rounds.csv", newline="") as fh:
             last = list(csv.DictReader(fh))[-1]
         with open(out_dir / "summary.csv", newline="") as fh:
@@ -80,8 +81,8 @@ class TestSummary:
         assert summary["final_acc"] == last["acc"]
         assert summary["final_loss"] == last["loss"]
 
-    def test_mean_timings_match_round_means(self, run_and_bundle):
-        _, result, bundle, out_dir, _ = run_and_bundle
+    def test_mean_timings_match_round_means(self, written_run):
+        _, result, out_dir, _ = written_run
         with open(out_dir / "summary.csv", newline="") as fh:
             (summary,) = list(csv.DictReader(fh))
         for csv_col, attr in [
@@ -94,23 +95,23 @@ class TestSummary:
             )
             assert abs(float(summary[csv_col]) - independent) <= 1e-12
 
-    def test_summary_columns(self, run_and_bundle):
-        *_, out_dir, _ = run_and_bundle
+    def test_summary_columns(self, written_run):
+        *_, out_dir, _ = written_run
         with open(out_dir / "summary.csv", newline="") as fh:
             header = next(csv.reader(fh))
         assert header == SUMMARY_COLUMNS
 
 
 class TestRunJson:
-    def test_config_snapshot_round_trips(self, run_and_bundle):
-        _, result, _, _, run_dir = run_and_bundle
+    def test_config_snapshot_round_trips(self, written_run):
+        _, result, _, run_dir = written_run
         payload = json.loads((run_dir / "run.json").read_text())
         assert config_from_dict(payload["config"]) == result.config
         assert payload["metadata"]["rng"] == "numpy-pcg64"
         assert payload["metadata"]["train_size"] == 120
 
-    def test_state_npz_holds_final_params_and_buffers(self, run_and_bundle):
-        _, result, _, _, run_dir = run_and_bundle
+    def test_state_npz_holds_final_params_and_buffers(self, written_run):
+        _, result, _, run_dir = written_run
         with np.load(run_dir / "state.npz") as state:
             assert np.array_equal(state["final_params"], result.final_params)
             # fedavgm persists its momentum buffer
@@ -125,39 +126,37 @@ class TestDeterminism:
         texts = []
         for sub, cfg in [("a", cfg_a), ("b", cfg_b)]:
             result = run_experiment(cfg)
-            bundle = ResultsBundle.from_result(result, run_id_for(cfg, 0), 0)
-            run_dir = write_results(bundle, tmp_path / sub)
+            run_dir = write_results(result, run_id_for(cfg, 0), tmp_path / sub)
             with open(run_dir / "rounds.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             texts.append("\n".join(",".join(r[c] for c in learning_cols) for r in rows))
         assert texts[0] == texts[1]
 
 
-class TestSummarize:
-    def test_regenerates_equal_summary(self, tmp_path):
-        rows = []
-        for rep in range(2):
-            cfg = small_config(master_seed=5 + rep)
-            result = run_experiment(cfg)
-            bundle = ResultsBundle.from_result(result, run_id_for(cfg, rep), rep)
-            write_results(bundle, tmp_path)
-            rows.append(bundle.summary)
-        write_summary(rows, tmp_path)
-        original = (tmp_path / "summary.csv").read_text()
+finite = st.floats(allow_nan=False, allow_infinity=False)
+round_metrics = st.lists(
+    st.builds(RoundMetrics, st.integers(1, 10_000), finite, finite, finite, finite, finite),
+    min_size=1, max_size=6,
+)
 
-        regenerate_summary(tmp_path)
-        rebuilt = (tmp_path / "summary.csv").read_text()
-        assert rebuilt == original
+
+class TestSummarize:
+    @settings(max_examples=50, deadline=None)
+    @given(round_metrics)
+    def test_summary_cells_equal_summarize_rounds(self, written_run, metrics):
+        _, result, _, _ = written_run
+        with tempfile.TemporaryDirectory() as out_dir:
+            write_results(replace(result, metrics=metrics), "run_rep0", out_dir)
+            with open(write_summary(out_dir), newline="") as fh:
+                (row,) = list(csv.DictReader(fh))
+        for column, value in summarize_rounds(metrics).items():
+            assert row[column] == _fmt(value), column
 
     def test_mean_rows_for_replicas(self, tmp_path):
-        rows = []
         for rep in range(3):
             cfg = small_config(master_seed=100 + rep)
-            result = run_experiment(cfg)
-            bundle = ResultsBundle.from_result(result, run_id_for(cfg, rep), rep)
-            write_results(bundle, tmp_path)
-            rows.append(bundle.summary)
-        write_summary(rows, tmp_path)
+            write_results(run_experiment(cfg), run_id_for(cfg, rep), tmp_path, rep)
+        write_summary(tmp_path)
         with open(tmp_path / "summary.csv", newline="") as fh:
             all_rows = list(csv.DictReader(fh))
         assert len(all_rows) == 4  # 3 replicas + 1 mean row
