@@ -106,8 +106,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if error is not None:
                 failures.append((run_id, error))
 
-    if len(failures) < len(jobs):
+    try:
         write_summary(out_dir)
+    except ConfigError as err:
+        # With every run failed, "no completed runs" is expected: exit 2 below.
+        if len(failures) < len(jobs):
+            raise
+        print(f"summary: {err}", file=sys.stderr)
     for run_id, error in failures:
         print(f"error: {run_id}: {error}", file=sys.stderr)
     return 2 if failures else 0

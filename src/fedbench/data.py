@@ -10,7 +10,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -255,8 +255,21 @@ def generate_synthetic(
     return ds
 
 
+# The last generated split, keyed by (name, spec fields). A grid varies the
+# dataset in its outermost axis, so one entry serves every run of a dataset.
+_last_split: tuple[tuple, tuple[Dataset, Dataset]] | None = None
+
+
 def _generate_split(spec: SyntheticSpec, name: str) -> tuple[Dataset, Dataset]:
-    """One draw covering train + test, split per class deterministically."""
+    """One draw covering train + test, split per class deterministically.
+
+    The result is cached for the process and its arrays are read-only, so
+    every caller sees the same data.
+    """
+    global _last_split
+    key = (name, astuple(spec))
+    if _last_split is not None and _last_split[0] == key:
+        return _last_split[1]
     per_class = spec.train_per_class + spec.test_per_class
     full = generate_synthetic(
         spec.num_classes, per_class, spec.input_dim, spec.seed, spec.class_sep, name
@@ -271,6 +284,10 @@ def _generate_split(spec: SyntheticSpec, name: str) -> tuple[Dataset, Dataset]:
     test = Dataset(
         full.features[~train_mask], full.labels[~train_mask], name, spec.num_classes
     )
+    for ds in (train, test):
+        ds.features.flags.writeable = False
+        ds.labels.flags.writeable = False
+    _last_split = (key, (train, test))
     return train, test
 
 

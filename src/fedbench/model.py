@@ -93,11 +93,16 @@ class LocalOptimizerConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one local training call."""
+    """First/second moment accumulators for one local training call, plus
+    two scratch vectors that hold the in-place step's temporaries."""
 
     m: Array
     v: Array
     step: int = 0
+    scratch: tuple[Array, Array] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def init_model(spec: ModelSpec) -> Array:
@@ -148,12 +153,14 @@ def _log_softmax(logits: Array) -> Array:
 
 
 def forward_loss_grad(
-    params: Array, spec: ModelSpec, features: Array, labels: Array
+    params: Array, spec: ModelSpec, features: Array, labels: Array,
+    out: Array | None = None,
 ) -> tuple[float, Array]:
     """Mean softmax cross-entropy over the batch and its exact gradient.
 
     Returns:
-        (loss, grad) with grad flattened in the same layout as params.
+        (loss, grad) with grad flattened in the same layout as params; grad
+        is written into out when given.
     """
     _check_batch(spec, features)
     labels = np.asarray(labels)
@@ -188,7 +195,7 @@ def forward_loss_grad(
     dz[np.arange(n), labels] -= 1.0
     dz /= n
 
-    grad = np.empty_like(params)
+    grad = np.empty_like(params) if out is None else out
     grad_layers = unpack_params(grad, spec)
     for idx in range(len(layers) - 1, -1, -1):
         a_prev = activations[idx]
@@ -216,25 +223,45 @@ def init_opt_state(cfg: LocalOptimizerConfig, dim: int) -> AdamState | None:
     return None
 
 
+# Both steps update params in place and return it. Each ufunc is one
+# operation of the expression in the step's docstring, in the same order, so
+# the result is bit-identical to evaluating that expression out of place.
+
+
 def local_sgd_step(
     params: Array, grad: Array, state: None, cfg: LocalOptimizerConfig
 ) -> tuple[Array, None]:
+    """params - lr * grad."""
     _check_grad(grad)
-    return params - cfg.lr * grad, state
+    np.subtract(params, cfg.lr * grad, out=params)
+    return params, state
 
 
 def local_adam_step(
     params: Array, grad: Array, state: AdamState, cfg: LocalOptimizerConfig
 ) -> tuple[Array, AdamState]:
-    """Standard Adam with bias correction; state persists within one local call."""
+    """Standard Adam with bias correction; state persists within one local call.
+
+        m = b1 * m + (1 - b1) * grad
+        v = b2 * v + (1 - b2) * grad * grad
+        params - lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+    """
     _check_grad(grad)
-    t = state.step + 1
-    m = cfg.adam_beta1 * state.m + (1.0 - cfg.adam_beta1) * grad
-    v = cfg.adam_beta2 * state.v + (1.0 - cfg.adam_beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.adam_beta1**t)
-    v_hat = v / (1.0 - cfg.adam_beta2**t)
-    new_params = params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
-    return new_params, AdamState(m=m, v=v, step=t)
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    state.step += 1
+    t = state.step
+    m, v = state.m, state.v
+    a, b = state.scratch
+    np.multiply(m, b1, out=m)
+    np.add(m, np.multiply(grad, 1.0 - b1, out=a), out=m)
+    np.multiply(grad, 1.0 - b2, out=a)
+    np.multiply(v, b2, out=v)
+    np.add(v, np.multiply(a, grad, out=a), out=v)
+    np.multiply(np.divide(m, 1.0 - b1**t, out=a), cfg.lr, out=a)
+    np.sqrt(np.divide(v, 1.0 - b2**t, out=b), out=b)
+    np.add(b, cfg.adam_epsilon, out=b)
+    np.subtract(params, np.divide(a, b, out=a), out=params)
+    return params, state
 
 
 def local_step(

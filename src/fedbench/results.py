@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import os
 import platform
 import re
 from pathlib import Path
@@ -50,6 +51,8 @@ SUMMARY_COLUMNS = [
 
 _REP_SUFFIX = re.compile(r"_rep\d+$")
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -66,6 +69,11 @@ def _package_version() -> str:
         return version("fedbench")
     except Exception:
         return "unknown"
+
+
+def _blas_build() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
 def summarize_rounds(rounds: list[RoundMetrics]) -> dict:
@@ -110,6 +118,10 @@ def write_results(
         "fedbench_version": _package_version(),
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
+        # Learning columns are bit-identical only for one BLAS build and
+        # thread count, so both are recorded.
+        "blas": _blas_build(),
+        "thread_env": {k: os.environ.get(k) for k in _THREAD_VARS},
         "rng": GENERATOR_NAME,
         "master_seed": cfg.master_seed,
         "partition_seed": cfg.partition.seed,
@@ -149,9 +161,7 @@ def write_results(
         with open(run_dir / "run.json", "w") as fh:
             json.dump(run, fh, indent=2)
             fh.write("\n")
-        np.savez_compressed(
-            run_dir / "state.npz", **state_arrays, final_params=result.final_params
-        )
+        np.savez(run_dir / "state.npz", **state_arrays, final_params=result.final_params)
     except OSError as err:
         raise ConfigError(f"cannot write results under {run_dir}: {err}") from err
     return run_dir
@@ -160,21 +170,23 @@ def write_results(
 def write_summary(out_dir: str | Path) -> Path:
     """Write summary.csv from the run.json of every completed run under
     out_dir: one row per run, plus mean rows for replica groups. Aborted runs
-    are left out."""
+    are left out. An existing summary.csv is removed first, so it never
+    outlives the runs it describes."""
     out_dir = Path(out_dir)
+    path = out_dir / "summary.csv"
+    path.unlink(missing_ok=True)
     rows = []
-    for path in sorted(out_dir.glob("*/run.json")):
+    for run_json in sorted(out_dir.glob("*/run.json")):
         try:
-            with open(path) as fh:
+            with open(run_json) as fh:
                 run = json.load(fh)
             if "aborted" not in run["metadata"]:
                 rows.append(run["summary"])
         except (OSError, ValueError, KeyError, TypeError) as err:
-            raise ConfigError(f"{path}: cannot read run record: {err!r}") from err
+            raise ConfigError(f"{run_json}: cannot read run record: {err!r}") from err
     if not rows:
         raise ConfigError(f"no completed runs under {out_dir}")
     rows.sort(key=lambda r: (str(r["run_id"]), r["replicate"]))
-    path = out_dir / "summary.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)

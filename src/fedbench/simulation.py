@@ -151,17 +151,24 @@ def train_local(
     Optimizer state is fresh per call (clients restart from the broadcast
     global weights each round). Partial trailing batches are kept. With
     prox_mu > 0 the gradient gains the proximal pull mu * (w - w_global).
+    The steps update a copy of params in place; the arguments are not written.
     """
     params = params.copy()
     state = init_opt_state(cfg, params.shape[0])
+    grad = np.empty_like(params)
+    pull = np.empty_like(params) if prox_mu > 0.0 else None
     n = features.shape[0]
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            _, grad = forward_loss_grad(params, spec, features[batch], labels[batch])
-            if prox_mu > 0.0:
-                grad = grad + prox_mu * (params - prox_center)
+            _, grad = forward_loss_grad(
+                params, spec, features[batch], labels[batch], out=grad
+            )
+            if pull is not None:
+                # grad + mu * (params - prox_center), in place.
+                np.subtract(params, prox_center, out=pull)
+                np.add(grad, np.multiply(pull, prox_mu, out=pull), out=grad)
             params, state = local_step(params, grad, state, cfg)
     return params
 

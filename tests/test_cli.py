@@ -40,6 +40,13 @@ ONE_ABORTS_PARTWAY = (
         .replace("learning_rate = 0.01", "learning_rate = 0.1")
 )
 
+# One fedavg run whose client SGD step overflows in round 1.
+EXPLODES = (
+    TINY.replace("kind = fedavg, fedmedian", "kind = fedavg")
+        .replace("learning_rate = 0.01", "learning_rate = 1e300")
+        .replace("[local]", "[local]\noptimizer = sgd")
+)
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -180,9 +187,7 @@ def test_summarize_empty_dir(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_failure_exits_2_with_partial_flush(config_path, tmp_path, capsys):
     path = tmp_path / "explode.ini"
-    path.write_text(TINY.replace("kind = fedavg, fedmedian", "kind = fedavg")
-                        .replace("learning_rate = 0.01", "learning_rate = 1e300")
-                        .replace("[local]", "[local]\noptimizer = sgd"))
+    path.write_text(EXPLODES)
     out_dir = tmp_path / "out"
     rc = main(["run", "--config", str(path), "--out", str(out_dir)])
     assert rc == 2
@@ -203,6 +208,22 @@ def test_numeric_failure_exits_2_with_partial_flush(config_path, tmp_path, capsy
     with np.load(run_dir / "state.npz") as state:
         assert "final_params" in state.files
     # Every run aborted, so there is no summary to rebuild.
+    assert main(["summarize", str(out_dir)]) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_rerun_leaves_no_stale_summary(tmp_path, capsys):
+    completes, explodes = tmp_path / "ok.ini", tmp_path / "explode.ini"
+    completes.write_text(TINY.replace("kind = fedavg, fedmedian", "kind = fedavg"))
+    explodes.write_text(EXPLODES)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(completes), "--out", str(out_dir)]) == 0
+    assert (out_dir / "summary.csv").exists()
+    # Same run id: the rerun overwrites the completed run with an aborted one.
+    assert main(["run", "--config", str(explodes), "--out", str(out_dir)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    # No completed run is left, so there is no summary, as summarize agrees.
+    assert not (out_dir / "summary.csv").exists()
     assert main(["summarize", str(out_dir)]) == 1
 
 

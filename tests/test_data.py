@@ -2,20 +2,25 @@
 
 import gzip
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fedbench.data
 from fedbench import (
     ConfigError,
+    ExperimentConfig,
     IngestionError,
     LocalOptimizerConfig,
     ModelSpec,
+    PartitionSpec,
     generate_synthetic,
     init_model,
     load_cifar10,
     load_dataset,
     load_idx_dataset,
+    run_experiment,
     train_local,
 )
 from fedbench.data import SYNTH_MNIST, SyntheticSpec
@@ -195,3 +200,58 @@ class TestRegistry:
         train, test = load_dataset("mnist", data_dir=tmp_path)
         assert train.features.shape == (8, 784)
         assert test.features.shape == (4, 784)
+
+
+SMALL = SyntheticSpec(num_classes=3, train_per_class=20, test_per_class=5,
+                      input_dim=6, seed=5)
+
+
+class TestSplitCache:
+    @pytest.fixture(autouse=True)
+    def generations(self, monkeypatch):
+        """Start each test with a cold cache; count the generator's calls."""
+        monkeypatch.setattr(fedbench.data, "_last_split", None)
+        calls = []
+        real = fedbench.data.generate_synthetic
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fedbench.data, "generate_synthetic", counting)
+        return calls
+
+    def test_repeated_load_generates_once(self, generations):
+        first = load_dataset("synthmnist")
+        second = load_dataset("synthmnist")
+        assert len(generations) == 1
+        for a, b in zip(first, second):
+            assert a.features is b.features and a.labels is b.labels
+
+    def test_arrays_are_read_only(self):
+        for ds in load_dataset("synthetic", synthetic=SMALL):
+            with pytest.raises(ValueError):
+                ds.features[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                ds.labels[0] = 0
+
+    def test_new_spec_generates_anew(self, generations):
+        a, _ = load_dataset("synthetic", synthetic=SMALL)
+        b, _ = load_dataset("synthetic", synthetic=replace(SMALL, seed=SMALL.seed + 1))
+        assert len(generations) == 2
+        assert a.features.shape == b.features.shape
+        assert not np.array_equal(a.features, b.features)
+
+    def test_warm_cache_run_equals_cold_run(self, generations):
+        cfg = ExperimentConfig(
+            dataset="synthetic", synthetic=SMALL, rounds=2, num_clients=3,
+            partition=PartitionSpec(mode="dirichlet", num_clients=3, alpha=0.5),
+            model=ModelSpec(0, [8], 0), local=LocalOptimizerConfig(learning_rate=0.01),
+        )
+        cold = run_experiment(cfg)
+        warm = run_experiment(cfg)
+        assert len(generations) == 1
+        learning = [[(r.centralized_accuracy, r.centralized_loss) for r in res.metrics]
+                    for res in (cold, warm)]
+        assert learning[0] == learning[1]
+        assert np.array_equal(cold.final_params, warm.final_params)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedbench import (
     ConfigError,
@@ -16,7 +19,7 @@ from fedbench import (
     local_sgd_step,
     train_local,
 )
-from fedbench.model import AdamState, init_opt_state
+from fedbench.model import AdamState, init_opt_state, local_step
 
 
 def finite_difference_grad(params, spec, x, y, h=1e-5):
@@ -152,7 +155,7 @@ class TestOptimizers:
         cfg = LocalOptimizerConfig(kind="adam")
         state = init_opt_state(cfg, 3)
         params = np.array([1.0, -2.0, 0.5])
-        new_params, new_state = local_adam_step(params, np.zeros(3), state, cfg)
+        new_params, new_state = local_adam_step(params.copy(), np.zeros(3), state, cfg)
         assert np.array_equal(new_params, params)
         assert new_state.step == 1
 
@@ -237,3 +240,152 @@ class TestLocalTraining:
             prox_mu=100.0, prox_center=center,
         )
         assert np.linalg.norm(pinned - center) < np.linalg.norm(free - center)
+
+
+# The out-of-place expressions the in-place steps replaced. The steps must
+# reproduce them bit for bit, so learning columns stay byte-identical.
+def reference_sgd(params, grad, cfg):
+    return params - cfg.lr * grad
+
+
+def reference_adam(params, grad, m, v, t, cfg):
+    m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * grad
+    v = cfg.adam_beta2 * v + (1.0 - cfg.adam_beta2) * grad * grad
+    m_hat = m / (1.0 - cfg.adam_beta1**t)
+    v_hat = v / (1.0 - cfg.adam_beta2**t)
+    return params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon), m, v
+
+
+def reference_train_local(params, spec, x, y, cfg, rng, prox_mu, prox_center):
+    params = params.copy()
+    m = v = np.zeros_like(params)
+    t = 0
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            _, grad = forward_loss_grad(params, spec, x[batch], y[batch])
+            if prox_mu > 0.0:
+                grad = grad + prox_mu * (params - prox_center)
+            if cfg.kind == "adam":
+                t += 1
+                params, m, v = reference_adam(params, grad, m, v, t, cfg)
+            else:
+                params = reference_sgd(params, grad, cfg)
+    return params
+
+
+adam_configs = st.builds(
+    LocalOptimizerConfig,
+    kind=st.just("adam"),
+    learning_rate=st.floats(0.0, 1.0),
+    adam_beta1=st.floats(0.0, 0.999),
+    adam_beta2=st.floats(0.0, 0.9999),
+    adam_epsilon=st.floats(1e-12, 1e-3),
+)
+
+
+def vectors(dim, bound=1e3):
+    return arrays(np.float64, dim, elements=st.floats(-bound, bound))
+
+
+def gradient_sequences(dim):
+    return st.lists(vectors(dim), min_size=1, max_size=6)
+
+
+class TestInPlaceSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), adam_configs, st.integers(1, 12))
+    def test_adam_matches_out_of_place(self, data, cfg, dim):
+        params = data.draw(vectors(dim, 10.0))
+        grads = data.draw(gradient_sequences(dim))
+        state = init_opt_state(cfg, dim)
+        want, m, v = params.copy(), np.zeros(dim), np.zeros(dim)
+        for t, grad in enumerate(grads, start=1):
+            grad_before = grad.copy()
+            want, m, v = reference_adam(want, grad, m, v, t, cfg)
+            got, state = local_adam_step(params, grad, state, cfg)
+            assert got is params
+            assert np.array_equal(params, want)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert state.step == t
+            assert np.array_equal(grad, grad_before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.floats(0.0, 1.0), st.integers(1, 12))
+    def test_sgd_matches_out_of_place(self, data, lr, dim):
+        cfg = LocalOptimizerConfig(kind="sgd", learning_rate=lr)
+        params = data.draw(vectors(dim, 10.0))
+        want = params.copy()
+        for grad in data.draw(gradient_sequences(dim)):
+            want = reference_sgd(want, grad, cfg)
+            got, _ = local_sgd_step(params, grad, None, cfg)
+            assert got is params
+            assert np.array_equal(params, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["sgd", "adam"]),
+        prox_mu=st.just(0.0) | st.floats(1e-3, 10.0),
+        batch_size=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_train_local_matches_out_of_place(self, kind, prox_mu, batch_size, seed):
+        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3, init_seed=1)
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(20, 4))
+        y = rng.integers(0, 3, size=20)
+        x.flags.writeable = y.flags.writeable = False  # as the cached split
+        params = init_model(spec)
+        center = params + rng.normal(scale=0.1, size=params.shape)
+        params_before, center_before = params.copy(), center.copy()
+        cfg = LocalOptimizerConfig(kind=kind, learning_rate=0.05,
+                                   batch_size=batch_size, local_epochs=2)
+        got = train_local(params, spec, x, y, cfg, np.random.default_rng(seed),
+                          prox_mu=prox_mu, prox_center=center)
+        want = reference_train_local(params, spec, x, y, cfg,
+                                     np.random.default_rng(seed), prox_mu, center)
+        assert np.array_equal(got, want)
+        assert np.array_equal(params, params_before)
+        assert np.array_equal(center, center_before)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["sgd", "adam"]),
+        dim=st.integers(1, 12),
+        where=st.integers(0, 11),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    def test_non_finite_gradient_raises_before_any_write(self, kind, dim, where, bad):
+        cfg = LocalOptimizerConfig(kind=kind)
+        params = np.arange(dim, dtype=np.float64)
+        grad = np.ones(dim)
+        grad[where % dim] = bad
+        state = init_opt_state(cfg, dim)
+        with pytest.raises(NumericError):
+            local_step(params, grad, state, cfg)
+        assert np.array_equal(params, np.arange(dim, dtype=np.float64))
+        if state is not None:
+            assert state.step == 0 and not state.m.any() and not state.v.any()
+
+    def test_train_local_raises_on_non_finite_gradient(self):
+        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3, init_seed=1)
+        x = np.full((6, 4), 0.5)
+        x[3, 1] = np.nan
+        params = init_model(spec)
+        before = params.copy()
+        for kind in ("sgd", "adam"):
+            with pytest.raises(NumericError):
+                train_local(params, spec, x, np.zeros(6, dtype=np.int64),
+                            LocalOptimizerConfig(kind=kind), np.random.default_rng(0))
+        assert np.array_equal(params, before)
+
+    def test_forward_loss_grad_writes_into_out(self):
+        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3, init_seed=1)
+        rng = np.random.default_rng(4)
+        params, x, y = random_instance(rng, spec)
+        out = np.full_like(params, np.nan)
+        loss, grad = forward_loss_grad(params, spec, x, y, out=out)
+        want_loss, want_grad = forward_loss_grad(params, spec, x, y)
+        assert grad is out
+        assert loss == want_loss and np.array_equal(grad, want_grad)

@@ -117,6 +117,20 @@ class TestRunJson:
             # fedavgm persists its momentum buffer
             assert "momentum_buffer" in state
 
+    def test_metadata_records_blas_build_and_thread_env(self, written_run, tmp_path,
+                                                        monkeypatch):
+        _, result, _, _ = written_run
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MKL_NUM_THREADS", "3")
+        run_dir = write_results(result, "run_rep0", tmp_path)
+        metadata = json.loads((run_dir / "run.json").read_text())["metadata"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert metadata["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert metadata["thread_env"] == {
+            "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3",
+        }
+
 
 class TestDeterminism:
     def test_learning_columns_byte_identical(self, tmp_path):
