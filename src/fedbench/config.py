@@ -17,34 +17,25 @@ from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 from .adversary import AdversarySpec
-from .data import DATASET_NAMES, SyntheticSpec
+from .data import SyntheticSpec, dataset_shape
 from .errors import ConfigError
 from .model import LocalOptimizerConfig, ModelSpec
 from .partition import PartitionSpec
 from .simulation import ExperimentConfig
 from .strategies import StrategyConfig
 
-# Default model dimensions per dataset; synthetic takes them from its section.
-_DATASET_DIMS = {
-    "mnist": (784, 10),
-    "fmnist": (784, 10),
-    "synthmnist": (784, 10),
-    "cifar10": (3072, 10),
-}
-_DEFAULT_HIDDEN = {"cifar10": [256]}
-
-
 def _keys(names: str, **aliases: str) -> dict[str, str]:
     return {**{name: name for name in names.split()}, **aliases}
 
 
 # INI section -> (dataclass it fills, {INI key: field it sets}). A dataclass
-# field missing here (model.activation, partition.num_clients) is not settable.
+# field missing here (model.activation, partition.num_clients) is not settable;
+# model.input_dim and model.output_classes are the dataset's shape.
 _SECTIONS = {
     "experiment": (ExperimentConfig, _keys(
         "dataset rounds num_clients master_seed train_subset eval_subset data_dir")),
     "partition": (PartitionSpec, _keys("mode alpha seed")),
-    "model": (ModelSpec, _keys("hidden_dims input_dim output_classes init_seed")),
+    "model": (ModelSpec, _keys("hidden_dims init_seed")),
     "local": (LocalOptimizerConfig, _keys(
         "learning_rate batch_size local_epochs adam_beta1 adam_beta2 adam_epsilon",
         optimizer="kind")),
@@ -118,12 +109,6 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
 
     # The grid axes: comma-separated lists of the str fields they set.
     datasets = _to_list(exp.pop("dataset", ExperimentConfig.dataset))
-    for name in datasets:
-        if name not in DATASET_NAMES:
-            raise ConfigError(
-                f"experiment.dataset: unknown dataset {name!r}, "
-                f"expected one of {DATASET_NAMES}"
-            )
     modes = _to_list(par.pop("mode", PartitionSpec.mode))
     kinds = _to_list(strat.pop("kind", StrategyConfig.kind))
     num_clients = exp.get("num_clients", ExperimentConfig.num_clients)
@@ -131,14 +116,12 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
 
     configs = []
     for dataset, mode, kind in itertools.product(datasets, modes, kinds):
-        input_dim, classes = _DATASET_DIMS.get(dataset) or (
-            synthetic.input_dim, synthetic.num_classes)
-        dims = dict(input_dim=input_dim, output_classes=classes,
-                    hidden_dims=_DEFAULT_HIDDEN.get(dataset, [128]))
+        input_dim, classes = dataset_shape(dataset, synthetic)
+        model = {"hidden_dims": [256] if dataset == "cifar10" else [128], **mod}
         cfg = ExperimentConfig(
             dataset=dataset,
             partition=PartitionSpec(mode=mode, num_clients=num_clients, **par),
-            model=ModelSpec(**copy.deepcopy({**dims, **mod})),
+            model=ModelSpec(input_dim, output_classes=classes, **copy.deepcopy(model)),
             local=LocalOptimizerConfig(**loc),
             strategy=StrategyConfig(kind=kind, **strat),
             adversary=AdversarySpec(**adv),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+import zlib
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -91,46 +92,62 @@ SYNTH_MNIST = SyntheticSpec(
     seed=20240501,
 )
 
-DATASET_NAMES = ("mnist", "fmnist", "cifar10", "synthetic", "synthmnist")
+# (feature width, class count) of each dataset, which the loaded files must
+# match. synthetic (None) takes both from its SyntheticSpec.
+_SHAPES = {
+    "mnist": (784, 10),
+    "fmnist": (784, 10),
+    "cifar10": (3072, 10),
+    "synthetic": None,
+    "synthmnist": (SYNTH_MNIST.input_dim, SYNTH_MNIST.num_classes),
+}
+DATASET_NAMES = tuple(_SHAPES)
+
+
+def dataset_shape(name: str, synthetic: SyntheticSpec | None = None) -> tuple[int, int]:
+    """(input_dim, num_classes) of a dataset; synthetic reads its spec, as load_dataset does."""
+    if name not in _SHAPES:
+        raise ConfigError(f"unknown dataset {name!r}, expected one of {DATASET_NAMES}")
+    if name == "synthetic":
+        spec = synthetic if synthetic is not None else SyntheticSpec()
+        return spec.input_dim, spec.num_classes
+    return _SHAPES[name]
+
 
 # Noise values beyond this many sigmas from the class-mean range are clipped
 # before the [0, 1] rescale.
 _NOISE_TRUNCATION = 2.0
 
 
-def _open_maybe_gzip(path: Path):
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def _read_idx(path: Path, expected_magic: int) -> Array:
-    """Parse one IDX file; big-endian magic and dims, then raw unsigned bytes."""
+    """Parse one IDX file, plain or gzipped: big-endian magic and dims, then
+    raw unsigned bytes."""
     if not path.exists():
         raise IngestionError(f"{path}: file not found")
-    with _open_maybe_gzip(path) as fh:
-        header = fh.read(4)
-        if len(header) < 4:
-            raise IngestionError(f"{path}: truncated header")
-        (magic,) = struct.unpack(">I", header)
-        if magic != expected_magic:
-            raise IngestionError(
-                f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-            )
-        ndim = magic & 0xFF
-        dim_bytes = fh.read(4 * ndim)
-        if len(dim_bytes) < 4 * ndim:
-            raise IngestionError(f"{path}: truncated dimension header")
-        dims = struct.unpack(f">{ndim}I", dim_bytes)
-        payload = fh.read()
-    expected = int(np.prod(dims))
-    if len(payload) < expected:
+    raw = path.read_bytes()
+    if raw[:2] == b"\x1f\x8b":
+        try:
+            raw = gzip.decompress(raw)
+        except (gzip.BadGzipFile, EOFError, zlib.error) as err:
+            raise IngestionError(f"{path}: corrupt gzip data: {err}") from None
+    if len(raw) < 4:
+        raise IngestionError(f"{path}: truncated header")
+    (magic,) = struct.unpack_from(">I", raw)
+    if magic != expected_magic:
         raise IngestionError(
-            f"{path}: expected {expected} data bytes, found {len(payload)}"
+            f"{path}: magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
         )
-    return np.frombuffer(payload[:expected], dtype=np.uint8).reshape(dims)
+    ndim = magic & 0xFF
+    start = 4 + 4 * ndim
+    if len(raw) < start:
+        raise IngestionError(f"{path}: truncated dimension header")
+    dims = struct.unpack_from(f">{ndim}I", raw, 4)
+    expected = int(np.prod(dims))
+    if len(raw) - start < expected:
+        raise IngestionError(
+            f"{path}: expected {expected} data bytes, found {len(raw) - start}"
+        )
+    return np.frombuffer(raw, np.uint8, expected, start).reshape(dims)
 
 
 def load_idx_dataset(
@@ -320,8 +337,7 @@ def load_dataset(
     is the fallback location). synthetic uses the provided SyntheticSpec;
     synthmnist is the fixed 784-dim surrogate used when MNIST is absent.
     """
-    if name not in DATASET_NAMES:
-        raise ConfigError(f"unknown dataset {name!r}, expected one of {DATASET_NAMES}")
+    width, classes = dataset_shape(name, synthetic)
     if name == "synthetic":
         spec = synthetic if synthetic is not None else SyntheticSpec()
         spec.validate()
@@ -337,6 +353,13 @@ def load_dataset(
     base = root / name if (root / name).is_dir() else root
     if name == "cifar10":
         return load_cifar10(base, "train"), load_cifar10(base, "test")
-    train = load_idx_dataset(*_idx_pair(base, "train"), name=name, num_classes=10)
-    test = load_idx_dataset(*_idx_pair(base, "test"), name=name, num_classes=10)
+    train, test = (
+        load_idx_dataset(*_idx_pair(base, split), name=name, num_classes=classes)
+        for split in ("train", "test")
+    )
+    for ds in (train, test):
+        if ds.features.shape[1] != width:
+            raise IngestionError(
+                f"{base}: {name} images have {ds.features.shape[1]} features, expected {width}"
+            )
     return train, test

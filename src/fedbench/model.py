@@ -19,11 +19,7 @@ Array = np.ndarray
 
 @dataclass
 class ModelSpec:
-    """Architecture of the dense classifier.
-
-    input_dim / output_classes of 0 mean "fill in from the dataset at run
-    time"; they must be concrete before any parameter operation.
-    """
+    """Architecture of the dense classifier."""
 
     input_dim: int
     hidden_dims: list[int] = field(default_factory=list)

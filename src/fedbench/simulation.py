@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adversary import AdversarySpec, corrupt
-from .data import Dataset, SyntheticSpec, load_dataset
+from .data import Dataset, SyntheticSpec, dataset_shape, load_dataset
 from .errors import ConfigError, ExperimentAborted, FedbenchError, NumericError
 from .model import (
     LocalOptimizerConfig,
@@ -91,7 +91,7 @@ class ExperimentConfig:
     eval_subset: int | None = None
     data_dir: str | None = None
     partition: PartitionSpec = field(default_factory=PartitionSpec)
-    model: ModelSpec = field(default_factory=lambda: ModelSpec(0, [128], 0))
+    model: ModelSpec = field(default_factory=lambda: ModelSpec(784, [128], 10))
     local: LocalOptimizerConfig = field(default_factory=LocalOptimizerConfig)
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
     synthetic: SyntheticSpec | None = None
@@ -121,9 +121,12 @@ class ExperimentConfig:
         self.adversary.validate(self.num_clients)
         if self.synthetic is not None:
             self.synthetic.validate()
-        # Model dims may still be the fill-from-dataset sentinel 0.
-        if self.model.input_dim < 0 or self.model.output_classes < 0:
-            raise ConfigError("model dimensions must be >= 0")
+        shape = dataset_shape(self.dataset, self.synthetic)
+        self.model.validate()
+        for name, width in zip(("input_dim", "output_classes"), shape):
+            value = getattr(self.model, name)
+            if value != width:
+                raise ConfigError(f"model.{name} {value} does not match {self.dataset}'s {width}")
 
 
 @dataclass
@@ -339,20 +342,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     train, test = load_dataset(cfg.dataset, cfg.data_dir, cfg.synthetic)
 
-    # Dims and seeds are resolved in copies; the caller's config stays as given.
+    # Seeds are resolved in copies; the caller's config stays as given.
     model = replace(cfg.model)
-    if model.input_dim == 0:
-        model.input_dim = train.features.shape[1]
-    if model.output_classes == 0:
-        model.output_classes = train.num_classes
-    if model.input_dim != train.features.shape[1]:
-        raise ConfigError(
-            f"model.input_dim {model.input_dim} does not match dataset "
-            f"feature width {train.features.shape[1]}"
-        )
     if model.init_seed is None:
         model.init_seed = derived_seed(cfg.master_seed, _TAG_MODEL_INIT)
-    model.validate()
 
     train_x, train_y = _subset(
         train.features, train.labels, cfg.train_subset,

@@ -367,7 +367,7 @@ def test_criterion_10_determinism_and_export(tmp_path, scale_up_runs):
         dataset="synthetic",
         synthetic=SyntheticSpec(num_classes=5, train_per_class=80,
                                 test_per_class=20, input_dim=20, seed=4),
-        model=ModelSpec(0, [16], 0),
+        model=ModelSpec(20, [16], 5),
         partition=PartitionSpec(mode="dirichlet", num_clients=5, alpha=0.5),
         num_clients=5,
         rounds=5,

@@ -1,7 +1,9 @@
 """End-to-end CLI: validate, run, summarize, exit codes."""
 
 import csv
+import gzip
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -66,6 +68,40 @@ def test_validate_bad_config(tmp_path, capsys):
     path.write_text(TINY.replace("mode = iid", "mode = banana"))
     assert main(["validate", "--config", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_unrunnable_model_exits_1_before_any_run(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(TINY + "\n[model]\nhidden_dims = 0\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+    assert "model.hidden_dims" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_corrupt_dataset_file_fails_only_its_run(tmp_path, capsys):
+    mnist = tmp_path / "data" / "mnist"
+    mnist.mkdir(parents=True)
+    for prefix in ("train", "t10k"):
+        images = struct.pack(">IIII", 0x803, 2, 28, 28) + bytes(2 * 784)
+        labels = struct.pack(">II", 0x801, 2) + bytes(2)
+        (mnist / f"{prefix}-images-idx3-ubyte.gz").write_bytes(gzip.compress(images))
+        (mnist / f"{prefix}-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels))
+    train_images = mnist / "train-images-idx3-ubyte.gz"
+    train_images.write_bytes(train_images.read_bytes()[:-12])  # truncated stream
+    path = tmp_path / "exp.ini"
+    path.write_text(TINY.replace("dataset = synthetic", "dataset = synthetic, mnist")
+                        .replace("kind = fedavg, fedmedian", "kind = fedavg"))
+    out_dir = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--out", str(out_dir),
+               "--data-dir", str(tmp_path / "data")])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert "  fedavg_synthetic_iid_rep0: ok\n" in out
+    assert f"  fedavg_mnist_iid_rep0: FAILED: {train_images}: corrupt gzip" in out
+    with open(out_dir / "summary.csv", newline="") as fh:
+        assert [r["run_id"] for r in csv.DictReader(fh)] == ["fedavg_synthetic_iid_rep0"]
 
 
 def test_run_grid_with_replicas(config_path, tmp_path):

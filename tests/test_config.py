@@ -7,15 +7,17 @@ import pytest
 
 from fedbench import ConfigError, config_from_dict, config_to_dict, parse_config
 from fedbench.config import _SECTIONS, run_id_for
+from fedbench.data import DATASET_NAMES, dataset_shape
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Every key an INI file may set, per section (41 in all).
+# Every key an INI file may set, per section (39 in all). The model's input
+# and output widths are the dataset's shape and not settable.
 SETTABLE_KEYS = {
     "experiment": {"dataset", "rounds", "num_clients", "master_seed",
                    "train_subset", "eval_subset", "data_dir"},
     "partition": {"mode", "alpha", "seed"},
-    "model": {"hidden_dims", "input_dim", "output_classes", "init_seed"},
+    "model": {"hidden_dims", "init_seed"},
     "local": {"optimizer", "learning_rate", "batch_size", "local_epochs",
               "adam_beta1", "adam_beta2", "adam_epsilon"},
     "strategy": {"kind", "server_lr", "momentum", "adam_beta1", "adam_beta2",
@@ -102,9 +104,14 @@ dataset = synthmnist, synthetic
                 parse_config(write(tmp_path, text))
 
     def test_unknown_key_named(self, tmp_path):
-        text = BASELINE.replace("kind = fedavg", "kind = fedavg\nmomentumm = 0.9")
-        with pytest.raises(ConfigError, match="momentumm"):
-            parse_config(write(tmp_path, text))
+        # The model's input and output widths are the dataset's, not keys.
+        for key, text in [
+            ("momentumm", BASELINE.replace("kind = fedavg", "kind = fedavg\nmomentumm = 0.9")),
+            ("input_dim", BASELINE + "[model]\ninput_dim = 784\n"),
+            ("output_classes", BASELINE + "[model]\noutput_classes = 10\n"),
+        ]:
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(write(tmp_path, text))
 
     def test_unknown_section_named(self, tmp_path):
         text = BASELINE + "\n[plotting]\nstyle = dark\n"
@@ -124,6 +131,25 @@ dataset = synthmnist, synthetic
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize("text, match", [
+        # Passed parsing once, then failed every run of the grid.
+        (BASELINE + "[model]\nhidden_dims = 0\n", "model.hidden_dims"),
+        (BASELINE.replace("synthmnist", "synthmnist, imagenet"), "unknown dataset 'imagenet'"),
+    ], ids=["hidden_zero", "unknown_dataset"])
+    def test_unrunnable_config_rejected(self, tmp_path, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(write(tmp_path, text))
+
+    def test_model_dims_are_the_dataset_shape(self, tmp_path):
+        text = f"[experiment]\ndataset = {', '.join(DATASET_NAMES)}\n"
+        text += "[synthetic]\nnum_classes = 4\ninput_dim = 6\n"
+        configs = parse_config(write(tmp_path, text))
+        assert [c.dataset for c in configs] == list(DATASET_NAMES)
+        for cfg in configs:
+            shape = dataset_shape(cfg.dataset, cfg.synthetic)
+            assert (cfg.model.input_dim, cfg.model.output_classes) == shape
+        assert configs[DATASET_NAMES.index("synthetic")].model.input_dim == 6
 
     def test_cifar_defaults(self, tmp_path):
         text = """
@@ -172,7 +198,7 @@ class TestSnapshot:
 
     def test_shipped_configs_round_trip(self):
         assert {name: set(keys) for name, (_, keys) in _SECTIONS.items()} == SETTABLE_KEYS
-        assert sum(len(keys) for keys in SETTABLE_KEYS.values()) == 41
+        assert sum(len(keys) for keys in SETTABLE_KEYS.values()) == 39
         paths = [*ROOT.glob("configs/*.ini"), *ROOT.glob("bench/workloads/*.ini")]
         assert len(paths) >= 5
         for path in paths:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedbench.data
 from fedbench import (
@@ -23,7 +25,7 @@ from fedbench import (
     run_experiment,
     train_local,
 )
-from fedbench.data import SYNTH_MNIST, SyntheticSpec
+from fedbench.data import SYNTH_MNIST, SyntheticSpec, dataset_shape
 from fedbench.simulation import evaluate_centralized
 
 
@@ -104,6 +106,18 @@ class TestIdx:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError, match="not found"):
             load_idx_dataset(tmp_path / "nope", tmp_path / "nope2")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda gz: gz[:-8] + bytes(8),                 # CRC mismatch: BadGzipFile
+        lambda gz: gz[:-12],                           # truncated: EOFError
+        lambda gz: gz[:10] + b"\xff" * 8 + gz[18:],    # bad deflate block: zlib.error
+    ], ids=["bad_crc", "truncated", "bad_deflate"])
+    def test_rejects_corrupt_gzip(self, idx_pair, tmp_path, corrupt):
+        img_path, lab_path, *_ = idx_pair
+        bad = tmp_path / "imgs.gz"
+        bad.write_bytes(corrupt(gzip.compress(img_path.read_bytes())))
+        with pytest.raises(IngestionError, match=f"{bad}: corrupt gzip"):
+            load_idx_dataset(bad, lab_path)
 
 
 class TestCifar:
@@ -202,6 +216,41 @@ class TestRegistry:
         assert test.features.shape == (4, 784)
 
 
+class TestDatasetShape:
+    """data.py's shape table is the one record of each dataset's width and
+    class count: the loaders agree with it."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.builds(
+        SyntheticSpec,
+        num_classes=st.integers(1, 6),
+        train_per_class=st.integers(1, 5),
+        test_per_class=st.integers(1, 3),
+        input_dim=st.integers(1, 12),
+        class_sep=st.floats(0.5, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    ))
+    def test_synthetic_shape_is_what_loads(self, spec):
+        for ds in load_dataset("synthetic", synthetic=spec):
+            assert dataset_shape("synthetic", spec) == (ds.features.shape[1], ds.num_classes)
+
+    def test_synthmnist_shape_is_what_loads(self):
+        for ds in load_dataset("synthmnist"):
+            assert dataset_shape("synthmnist") == (ds.features.shape[1], ds.num_classes)
+        assert dataset_shape("synthetic") == dataset_shape("synthetic", SyntheticSpec())
+
+    def test_idx_width_other_than_the_table_rejected(self, tmp_path):
+        rng = np.random.default_rng(3)
+        root = tmp_path / "mnist"
+        root.mkdir()
+        for img_name, lab_name in fedbench.data.IDX_FILES.values():
+            write_idx_images(root / img_name,
+                             rng.integers(0, 256, size=(4, 5, 5), dtype=np.uint8))
+            write_idx_labels(root / lab_name, rng.integers(0, 10, size=4))
+        with pytest.raises(IngestionError, match="25 features, expected 784"):
+            load_dataset("mnist", data_dir=tmp_path)
+
+
 SMALL = SyntheticSpec(num_classes=3, train_per_class=20, test_per_class=5,
                       input_dim=6, seed=5)
 
@@ -246,7 +295,7 @@ class TestSplitCache:
         cfg = ExperimentConfig(
             dataset="synthetic", synthetic=SMALL, rounds=2, num_clients=3,
             partition=PartitionSpec(mode="dirichlet", num_clients=3, alpha=0.5),
-            model=ModelSpec(0, [8], 0), local=LocalOptimizerConfig(learning_rate=0.01),
+            model=ModelSpec(6, [8], 3), local=LocalOptimizerConfig(learning_rate=0.01),
         )
         cold = run_experiment(cfg)
         warm = run_experiment(cfg)

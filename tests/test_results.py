@@ -33,7 +33,7 @@ def small_config(**overrides):
         synthetic=SyntheticSpec(num_classes=3, train_per_class=40, test_per_class=15,
                                 input_dim=6, class_sep=6.0, seed=2),
         partition=PartitionSpec(mode="dirichlet", num_clients=3, alpha=0.5),
-        model=ModelSpec(0, [8], 0),
+        model=ModelSpec(6, [8], 3),
         local=LocalOptimizerConfig(kind="adam", learning_rate=0.01),
         strategy=StrategyConfig(kind="fedavgm"),
         rounds=4,

@@ -35,7 +35,7 @@ def tiny_config(**overrides):
         synthetic=SyntheticSpec(num_classes=3, train_per_class=60, test_per_class=20,
                                 input_dim=8, class_sep=6.0, seed=3),
         partition=PartitionSpec(mode="iid", num_clients=4),
-        model=ModelSpec(0, [16], 0),
+        model=ModelSpec(8, [16], 3),
         local=LocalOptimizerConfig(kind="adam", learning_rate=0.01, local_epochs=2),
         strategy=StrategyConfig(kind="fedavg"),
         rounds=3,
@@ -262,12 +262,6 @@ class TestRunExperiment:
         assert result.train_size == 50
         assert result.eval_size == 10
 
-    def test_model_dims_filled_from_dataset(self):
-        cfg = tiny_config()
-        result = run_experiment(cfg)
-        assert result.config.model.input_dim == 8
-        assert result.config.model.output_classes == 3
-
     def test_caller_config_left_unchanged(self):
         cfg = tiny_config(rounds=1)
         before = copy.deepcopy(cfg)
@@ -293,10 +287,26 @@ class TestRunExperiment:
         for m in result.metrics:
             assert m.train_time_s >= cfg.num_clients * 0.005
 
-    def test_mismatched_model_dims_rejected(self):
-        cfg = tiny_config(model=ModelSpec(5, [16], 3))
-        with pytest.raises(ConfigError, match="input_dim"):
+    @pytest.mark.parametrize("field, model", [
+        ("input_dim", ModelSpec(5, [16], 3)),
+        ("output_classes", ModelSpec(8, [16], 2)),   # fewer logits than labels
+        ("output_classes", ModelSpec(8, [16], 12)),  # would train silently
+    ], ids=["input_dim", "too_few_classes", "too_many_classes"])
+    def test_mismatched_model_dims_rejected(self, field, model, monkeypatch):
+        def no_load(*args):
+            raise AssertionError("data loaded before the config was checked")
+
+        monkeypatch.setattr(fedbench.simulation, "load_dataset", no_load)
+        cfg = tiny_config(model=model)
+        with pytest.raises(ConfigError, match=f"model.{field}"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=f"model.{field}"):
             run_experiment(cfg)
+
+    def test_unknown_dataset_rejected(self):
+        ExperimentConfig().validate()  # the default model fits the default dataset
+        with pytest.raises(ConfigError, match="unknown dataset 'nope'"):
+            ExperimentConfig(dataset="nope").validate()
 
     def test_num_clients_mismatch_rejected(self):
         cfg = tiny_config(partition=PartitionSpec(mode="iid", num_clients=3))
