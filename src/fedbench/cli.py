@@ -119,10 +119,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    configs = parse_config(args.config)
-    print(f"{args.config}: valid, {len(configs)} run(s) in grid")
-    for cfg in configs:
-        print(f"  {run_id_for(cfg, 0)}: {cfg.rounds} rounds, {cfg.num_clients} clients")
+    # The grid `run` would expand, so its duplicate-id check applies too.
+    runs = _expand_runs(parse_config(args.config), 1, None, None)
+    print(f"{args.config}: valid, {len(runs)} run(s) in grid")
+    for cfg, run_id, _ in runs:
+        print(f"  {run_id}: {cfg.rounds} rounds, {cfg.num_clients} clients")
     return 0
 
 

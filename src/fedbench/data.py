@@ -72,9 +72,10 @@ class SyntheticSpec:
     seed: int = 7
 
     def validate(self) -> None:
-        for name in ("num_classes", "train_per_class", "test_per_class", "input_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"synthetic.{name} must be >= 1, got {getattr(self, name)}")
+        minimums = {"num_classes": 2, "train_per_class": 1, "test_per_class": 1, "input_dim": 1}
+        for name, low in minimums.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"synthetic.{name} must be >= {low}, got {getattr(self, name)}")
         if self.class_sep <= 0:
             raise ConfigError(f"synthetic.class_sep must be > 0, got {self.class_sep}")
 

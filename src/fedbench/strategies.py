@@ -1,28 +1,25 @@
 """Server aggregation strategies.
 
-Every strategy consumes one round's client updates plus its persistent state
-and produces the next global parameter vector. The adaptive strategies treat
-the sample-weighted mean client delta as a pseudo-gradient:
+Each kind is an aggregator, which turns one round's client updates into a
+pseudo-gradient delta relative to the global model w_t, followed by a server
+step on delta with persistent state: w_{t+1} = w_t + step (Reddi et al.,
+arXiv:2003.00295). The mean aggregator is
 
     delta = sum_k (n_k / n) * (w_k - w_t),   n = sum_k n_k
 
-so plain weighted averaging is exactly w_t + delta.
+so FedAvg, the mean with the identity step, is exactly w_t + delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ProtocolError, ShapeError
 
 Array = np.ndarray
-
-# Server learning rate when the config leaves it unset. FedAdam's first step
-# moves every coordinate by about lr, since m/sqrt(v2) starts near +-1 without
-# bias correction; 0.1 matches the He-uniform init scale and wrecks the model.
-_DEFAULT_SERVER_LR = {"fedadam": 0.01, "fedadagrad": 0.1}
 
 
 @dataclass
@@ -43,7 +40,7 @@ class StrategyConfig:
     """Hyperparameters for all strategy kinds; unused fields are ignored."""
 
     kind: str = "fedavg"
-    server_lr: float | None = None  # None: 1.0; 0.01 fedadam, 0.1 fedadagrad
+    server_lr: float | None = None  # None: the kind's default in _KINDS
     momentum: float = 0.9
     adam_beta1: float = 0.9
     adam_beta2: float = 0.99
@@ -80,9 +77,7 @@ class StrategyConfig:
 
     @property
     def lr(self) -> float:
-        if self.server_lr is not None:
-            return self.server_lr
-        return _DEFAULT_SERVER_LR.get(self.kind, 1.0)
+        return self.server_lr if self.server_lr is not None else _KINDS[self.kind].server_lr
 
 
 @dataclass
@@ -97,30 +92,8 @@ class StrategyState:
 
 
 def initial_state(cfg: StrategyConfig) -> StrategyState:
-    clip_norm = cfg.dp_initial_clip if cfg.kind == "dp" else 0.0
-    return StrategyState(clip_norm=clip_norm)
-
-
-def _check_updates(global_params: Array, updates: Updates) -> None:
-    if not updates:
-        raise ProtocolError("aggregation received an empty update set")
-    for u in updates:
-        if u.new_params.shape != global_params.shape:
-            raise ShapeError(
-                f"client {u.client_id} sent {u.new_params.shape[0]} parameters, "
-                f"global model has {global_params.shape[0]}"
-            )
-        if u.num_samples < 1:
-            raise ProtocolError(f"client {u.client_id} reported {u.num_samples} samples")
-
-
-def weighted_mean_params(updates: Updates) -> Array:
-    weights = np.array([u.num_samples for u in updates], dtype=np.float64)
-    weights /= weights.sum()
-    out = np.zeros_like(updates[0].new_params)
-    for w, u in zip(weights, updates):
-        out += w * u.new_params
-    return out
+    clipped = _KINDS[cfg.kind].aggregate is _clipped_mean
+    return StrategyState(clip_norm=cfg.dp_initial_clip if clipped else 0.0)
 
 
 def pseudo_gradient(global_params: Array, updates: Updates) -> Array:
@@ -128,17 +101,16 @@ def pseudo_gradient(global_params: Array, updates: Updates) -> Array:
     weights = np.array([u.num_samples for u in updates], dtype=np.float64)
     weights /= weights.sum()
     delta = np.zeros_like(global_params)
+    scratch = np.empty_like(global_params)
     for w, u in zip(weights, updates):
-        delta += w * (u.new_params - global_params)
+        np.subtract(u.new_params, global_params, out=scratch)
+        delta += np.multiply(scratch, w, out=scratch)  # w * (w_k - w_t)
     return delta
 
 
 def dp_clip(update_delta: Array, clip_norm: float) -> tuple[Array, bool]:
-    """Scale the delta onto the L2 ball of radius clip_norm.
-
-    Returns the clipped delta and whether the original norm was already
-    within the ball.
-    """
+    """Scale the delta onto the L2 ball of radius clip_norm; also return
+    whether its norm was already within the ball."""
     if clip_norm <= 0:
         raise ConfigError(f"clip norm must be > 0, got {clip_norm}")
     norm = float(np.linalg.norm(update_delta))
@@ -147,35 +119,16 @@ def dp_clip(update_delta: Array, clip_norm: float) -> tuple[Array, bool]:
     return update_delta * (clip_norm / norm), False
 
 
-def _mean_step(global_params, updates, state, cfg, rng):
-    return weighted_mean_params(updates), state
+def _mean(global_params, updates, state, cfg, rng):
+    return pseudo_gradient(global_params, updates), state
 
 
-def _median_step(global_params, updates, state, cfg, rng):
-    return np.median(np.stack([u.new_params for u in updates]), axis=0), state
+def _median(global_params, updates, state, cfg, rng):
+    return np.median(np.stack([u.new_params for u in updates]), axis=0) - global_params, state
 
 
-def _momentum_step(global_params, updates, state, cfg, rng):
-    delta = pseudo_gradient(global_params, updates)
-    v = state.momentum_buffer if state.momentum_buffer is not None else np.zeros_like(delta)
-    v = cfg.momentum * v + delta
-    return global_params + cfg.lr * v, replace(state, momentum_buffer=v)
-
-
-def _adaptive_step(global_params, updates, state, cfg, rng):
-    delta = pseudo_gradient(global_params, updates)
-    m = state.first_moment if state.first_moment is not None else np.zeros_like(delta)
-    v2 = state.second_moment if state.second_moment is not None else np.zeros_like(delta)
-    m = cfg.adam_beta1 * m + (1.0 - cfg.adam_beta1) * delta
-    if cfg.kind == "fedadagrad":
-        v2 = v2 + delta * delta
-    else:
-        v2 = cfg.adam_beta2 * v2 + (1.0 - cfg.adam_beta2) * delta * delta
-    new_params = global_params + cfg.lr * m / (np.sqrt(v2) + cfg.adaptivity)
-    return new_params, replace(state, first_moment=m, second_moment=v2)
-
-
-def _dp_step(global_params, updates, state, cfg, rng):
+def _clipped_mean(global_params, updates, state, cfg, rng):
+    """Uniform mean of deltas clipped at C plus noise; C tracks a quantile."""
     clip = state.clip_norm
     k = len(updates)
     mean_clipped = np.zeros_like(global_params)
@@ -187,34 +140,80 @@ def _dp_step(global_params, updates, state, cfg, rng):
     noise_std = cfg.dp_noise_multiplier * clip / k
     if noise_std > 0:
         mean_clipped = mean_clipped + rng.normal(0.0, noise_std, size=global_params.shape)
-    new_clip = clip * float(
-        np.exp(-cfg.dp_clip_lr * (below / k - cfg.dp_target_quantile))
-    )
-    return global_params + mean_clipped, replace(state, clip_norm=new_clip)
+    new_clip = clip * float(np.exp(-cfg.dp_clip_lr * (below / k - cfg.dp_target_quantile)))
+    return mean_clipped, replace(state, clip_norm=new_clip)
 
 
-# Server step per kind: (global, updates, state, cfg, rng) -> (params, state).
-_STEPS = {
-    "fedavg": _mean_step,
-    "fedavgm": _momentum_step,
-    "fedadam": _adaptive_step,
-    "fedadagrad": _adaptive_step,
-    "fedmedian": _median_step,
-    "fedprox": _mean_step,  # the proximal term acts in the clients (train_local)
-    "dp": _dp_step,
+def _or_zeros(buffer, like):
+    return buffer if buffer is not None else np.zeros_like(like)
+
+
+def _identity(delta, state, cfg):
+    return delta, state
+
+
+def _momentum(delta, state, cfg):
+    v = cfg.momentum * _or_zeros(state.momentum_buffer, delta) + delta
+    return cfg.lr * v, replace(state, momentum_buffer=v)
+
+
+def _adaptive(delta, state, cfg, v2):
+    m = cfg.adam_beta1 * _or_zeros(state.first_moment, delta) + (1.0 - cfg.adam_beta1) * delta
+    step = cfg.lr * m / (np.sqrt(v2) + cfg.adaptivity)
+    return step, replace(state, first_moment=m, second_moment=v2)
+
+
+def _adam(delta, state, cfg):
+    v2 = cfg.adam_beta2 * _or_zeros(state.second_moment, delta)
+    return _adaptive(delta, state, cfg, v2 + (1.0 - cfg.adam_beta2) * delta * delta)
+
+
+def _adagrad(delta, state, cfg):
+    return _adaptive(delta, state, cfg, _or_zeros(state.second_moment, delta) + delta * delta)
+
+
+class _Kind(NamedTuple):
+    aggregate: Callable  # (global, updates, state, cfg, rng) -> (delta, state)
+    step: Callable  # (delta, state, cfg) -> (step, state)
+    server_lr: float = 1.0  # when the config leaves strategy.server_lr unset
+    client_prox: bool = False  # clients add mu * (w - w_global) (train_local)
+
+
+_KINDS = {
+    "fedavg": _Kind(_mean, _identity),
+    "fedavgm": _Kind(_mean, _momentum),
+    # FedAdam's first step moves every coordinate by about lr, since
+    # m/sqrt(v2) starts near +-1 without bias correction; 0.1 matches the
+    # He-uniform init scale and wrecks the model.
+    "fedadam": _Kind(_mean, _adam, server_lr=0.01),
+    "fedadagrad": _Kind(_mean, _adagrad, server_lr=0.1),
+    "fedmedian": _Kind(_median, _identity),
+    "fedprox": _Kind(_mean, _identity, client_prox=True),
+    "dp": _Kind(_clipped_mean, _identity),
 }
-STRATEGY_KINDS = tuple(_STEPS)
+STRATEGY_KINDS = tuple(_KINDS)
 
 
 def _aggregate(global_params, updates, state, cfg, rng=None):
-    """Check the round's updates, take cfg.kind's step, count the round."""
-    _check_updates(global_params, updates)
-    new_params, state = _STEPS[cfg.kind](global_params, updates, state, cfg, rng)
-    return new_params, replace(state, round_index=state.round_index + 1)
+    """Check the round's updates, aggregate, take the server step, count the round."""
+    if not updates:
+        raise ProtocolError("aggregation received an empty update set")
+    for u in updates:
+        if u.new_params.shape != global_params.shape:
+            raise ShapeError(
+                f"client {u.client_id} sent {u.new_params.shape[0]} parameters, "
+                f"global model has {global_params.shape[0]}"
+            )
+        if u.num_samples < 1:
+            raise ProtocolError(f"client {u.client_id} reported {u.num_samples} samples")
+    kind = _KINDS[cfg.kind]
+    delta, state = kind.aggregate(global_params, updates, state, cfg, rng)
+    step, state = kind.step(delta, state, cfg)
+    return global_params + step, replace(state, round_index=state.round_index + 1)
 
 
 def aggregate_fedavg(global_params: Array, updates: Updates) -> Array:
-    """Data-size-weighted elementwise average of the client models."""
+    """Global model plus the sample-weighted mean client delta."""
     return _aggregate(global_params, updates, StrategyState(), StrategyConfig())[0]
 
 
@@ -244,17 +243,15 @@ def aggregate_fedadagrad(
 
 
 def aggregate_fedmedian(global_params: Array, updates: Updates) -> Array:
-    """Unweighted coordinate-wise median of the client models; even client
-    counts average the two middle values."""
-    cfg = StrategyConfig(kind="fedmedian")
-    return _aggregate(global_params, updates, StrategyState(), cfg)[0]
+    """Unweighted coordinate-wise median of the client models, applied as a
+    delta to w_t; even client counts average the two middle values."""
+    return _aggregate(global_params, updates, StrategyState(), StrategyConfig("fedmedian"))[0]
 
 
 def aggregate_fedprox(global_params: Array, updates: Updates) -> Array:
     """Server side is plain FedAvg; the proximal pull toward the global
     model happens in the clients' local gradient (see train_local)."""
-    cfg = StrategyConfig(kind="fedprox")
-    return _aggregate(global_params, updates, StrategyState(), cfg)[0]
+    return _aggregate(global_params, updates, StrategyState(), StrategyConfig("fedprox"))[0]
 
 
 def aggregate_dp(
@@ -286,7 +283,7 @@ class Strategy:
     @property
     def client_prox_mu(self) -> float:
         """Proximal coefficient clients apply during local training."""
-        return self.cfg.prox_mu if self.cfg.kind == "fedprox" else 0.0
+        return self.cfg.prox_mu if _KINDS[self.kind].client_prox else 0.0
 
     def aggregate(
         self, global_params: Array, updates: Updates, rng: np.random.Generator | None = None

@@ -42,7 +42,7 @@ ONE_ABORTS_PARTWAY = (
         .replace("learning_rate = 0.01", "learning_rate = 0.1")
 )
 
-# One fedavg run whose client SGD step overflows in round 1.
+# One fedavg run whose client SGD step overflows: round 2 aborts.
 EXPLODES = (
     TINY.replace("kind = fedavg, fedmedian", "kind = fedavg")
         .replace("learning_rate = 0.01", "learning_rate = 1e300")
@@ -68,6 +68,23 @@ def test_validate_bad_config(tmp_path, capsys):
     path.write_text(TINY.replace("mode = iid", "mode = banana"))
     assert main(["validate", "--config", str(path)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_duplicate_run_ids_rejected_by_validate_and_run(tmp_path, capsys):
+    path = tmp_path / "dup.ini"
+    path.write_text(TINY.replace("kind = fedavg, fedmedian", "kind = fedavg, fedavg"))
+    out_dir = tmp_path / "out"
+    for command in (["validate"], ["run", "--out", str(out_dir)]):
+        assert main([*command, "--config", str(path)]) == 1
+        assert "duplicate run ids" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_single_class_synthetic_names_its_key(tmp_path, capsys):
+    path = tmp_path / "one_class.ini"
+    path.write_text("[experiment]\ndataset = synthetic\n[synthetic]\nnum_classes = 1\n")
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "synthetic.num_classes must be >= 2, got 1" in capsys.readouterr().err
 
 
 def test_unrunnable_model_exits_1_before_any_run(tmp_path, capsys):

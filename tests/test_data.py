@@ -223,7 +223,7 @@ class TestDatasetShape:
     @settings(max_examples=25, deadline=None)
     @given(st.builds(
         SyntheticSpec,
-        num_classes=st.integers(1, 6),
+        num_classes=st.integers(2, 6),  # one class is a config error
         train_per_class=st.integers(1, 5),
         test_per_class=st.integers(1, 3),
         input_dim=st.integers(1, 12),

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedbench.simulation
 from fedbench import (
+    ConfigError,
+    ExperimentAborted,
     ExperimentConfig,
     LocalOptimizerConfig,
     ModelSpec,
@@ -116,6 +119,27 @@ class TestRunJson:
             assert np.array_equal(state["final_params"], result.final_params)
             # fedavgm persists its momentum buffer
             assert "momentum_buffer" in state
+
+    def test_run_aborted_in_round_1_has_empty_summary(self, tmp_path, monkeypatch):
+        def non_finite_client(params, *args, **kwargs):
+            return np.full_like(params, np.nan)
+
+        monkeypatch.setattr(fedbench.simulation, "train_local", non_finite_client)
+        with pytest.raises(ExperimentAborted, match="round 1") as excinfo:
+            run_experiment(small_config())
+        err = excinfo.value
+        run_dir = write_results(err.result, "run_rep0", tmp_path, error=str(err))
+        payload = json.loads((run_dir / "run.json").read_text())
+        assert payload["rounds"] == []
+        assert {k: payload["summary"][k] for k in summarize_rounds([])} == {
+            "rounds": 0, "final_acc": None, "final_loss": None,
+            "mean_agg_time_s": None, "mean_train_time_s": None, "mean_comm_time_s": None,
+        }
+        assert "non-finite" in payload["metadata"]["aborted"]
+        with open(run_dir / "rounds.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [ROUNDS_COLUMNS]
+        with pytest.raises(ConfigError, match="no completed runs"):
+            write_summary(tmp_path)
 
     def test_metadata_records_blas_build_and_thread_env(self, written_run, tmp_path,
                                                         monkeypatch):

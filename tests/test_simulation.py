@@ -136,6 +136,40 @@ class TestRunRound:
                 eval_features=eval_x, eval_labels=eval_y,
             )
 
+    def test_non_finite_client_params_rejected_before_aggregation(self, monkeypatch):
+        spec, shards, eval_x, eval_y = self.setup_round()
+        real_train_local = fedbench.simulation.train_local
+
+        def overflowing_client_1(params, *args, **kwargs):
+            trained = real_train_local(params, *args, **kwargs)
+            if args[1] is shards[1].features:
+                trained[3] = np.inf
+            return trained
+
+        monkeypatch.setattr(fedbench.simulation, "train_local", overflowing_client_1)
+        strategy = Strategy(StrategyConfig(kind="fedavg"))
+        with pytest.raises(NumericError,
+                           match="client 1 produced non-finite parameters in round 1"):
+            run_round(
+                init_model(spec), shards, strategy, 1,
+                model=spec, local=LocalOptimizerConfig(), master_seed=5,
+                eval_features=eval_x, eval_labels=eval_y,
+            )
+        assert strategy.state.round_index == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_aggregate_aborts_round(self):
+        spec, shards, eval_x, eval_y = self.setup_round()
+        # Finite client models; the server's 1e308 step overflows.
+        strategy = Strategy(StrategyConfig(kind="fedavgm", server_lr=1e308))
+        with pytest.raises(NumericError,
+                           match="aggregation produced non-finite parameters in round 1"):
+            run_round(
+                init_model(spec), shards, strategy, 1,
+                model=spec, local=LocalOptimizerConfig(kind="sgd", learning_rate=10.0),
+                master_seed=5, eval_features=eval_x, eval_labels=eval_y,
+            )
+
     def test_dp_round_records_clip_norm(self):
         spec, shards, eval_x, eval_y = self.setup_round()
         strategy = Strategy(StrategyConfig(kind="dp"))

@@ -131,7 +131,22 @@ class TestFedAvg:
                                       [3, 1, 7, 2])
         avg = aggregate_fedavg(w_t, updates)
         via_delta = w_t + pseudo_gradient(w_t, updates)
-        np.testing.assert_allclose(avg, via_delta, atol=1e-12)
+        assert np.array_equal(avg, via_delta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(round_inputs())
+    def test_pseudo_gradient_keeps_out_of_place_order(self, inputs):
+        """The one-buffer loop gives the bits of the plain weighted sum."""
+        w_t, params, ns = inputs
+        weights = np.array(ns, dtype=np.float64)
+        weights /= weights.sum()
+        reference = np.zeros_like(w_t)
+        for w, p in zip(weights, params):
+            reference += w * (p - w_t)
+        updates = updates_with_params(params, ns)
+        before = snapshot(updates)
+        assert np.array_equal(pseudo_gradient(w_t, updates), reference)
+        assert_unchanged(updates, before)
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ProtocolError):
