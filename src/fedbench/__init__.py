@@ -44,13 +44,6 @@ from .strategies import (
     Strategy,
     StrategyConfig,
     StrategyState,
-    aggregate_dp,
-    aggregate_fedadagrad,
-    aggregate_fedadam,
-    aggregate_fedavg,
-    aggregate_fedavgm,
-    aggregate_fedmedian,
-    aggregate_fedprox,
     dp_clip,
     pseudo_gradient,
 )

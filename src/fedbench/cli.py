@@ -92,7 +92,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     configs = parse_config(args.config)
     runs = _expand_runs(configs, args.replicas, args.seed, args.data_dir)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out_dir}: {err}") from err
 
     jobs = [(cfg, run_id, rep, str(out_dir)) for cfg, run_id, rep in runs]
     print(f"running {len(jobs)} experiment(s) -> {out_dir}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import copy
 import itertools
+import math
 import types
 import typing
 from dataclasses import asdict, fields, is_dataclass
@@ -66,10 +67,13 @@ def _coerce(text: str, hint, key: str):
         (item,) = typing.get_args(hint)
         return container(_coerce(part, item, key) for part in _to_list(text))
     try:
-        return hint(text)
+        value = hint(text)
     except ValueError:
         expected = "an integer" if hint is int else "a number"
         raise ConfigError(f"{key}: expected {expected}, got {text!r}") from None
+    if hint is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:

@@ -173,6 +173,8 @@ def write_summary(out_dir: str | Path) -> Path:
     are left out. An existing summary.csv is removed first, so it never
     outlives the runs it describes."""
     out_dir = Path(out_dir)
+    if not out_dir.is_dir():
+        raise ConfigError(f"not a directory: {out_dir}")
     path = out_dir / "summary.csv"
     path.unlink(missing_ok=True)
     rows = []

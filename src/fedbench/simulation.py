@@ -300,6 +300,8 @@ def run_round(
         raise NumericError(f"aggregation produced non-finite parameters in round {round_idx}")
 
     acc, loss = evaluate_centralized(new_params, model, eval_features, eval_labels)
+    if not np.isfinite(loss):
+        raise NumericError(f"evaluation produced a non-finite loss in round {round_idx}")
     comm_time = sum(u.comm_seconds for u in updates)
     metrics = RoundMetrics(
         round=round_idx,
@@ -308,7 +310,7 @@ def run_round(
         agg_time_s=agg_time,
         train_time_s=train_time,
         comm_time_s=comm_time,
-        clip_norm=strategy.state.clip_norm if strategy.kind == "dp" else None,
+        clip_norm=strategy.clip_norm,
     )
     return new_params, metrics
 

@@ -91,11 +91,6 @@ class StrategyState:
     clip_norm: float = 0.0
 
 
-def initial_state(cfg: StrategyConfig) -> StrategyState:
-    clipped = _KINDS[cfg.kind].aggregate is _clipped_mean
-    return StrategyState(clip_norm=cfg.dp_initial_clip if clipped else 0.0)
-
-
 def pseudo_gradient(global_params: Array, updates: Updates) -> Array:
     """Sample-weighted mean of client deltas relative to the global model."""
     weights = np.array([u.num_samples for u in updates], dtype=np.float64)
@@ -124,11 +119,19 @@ def _mean(global_params, updates, state, cfg, rng):
 
 
 def _median(global_params, updates, state, cfg, rng):
+    """Unweighted coordinate-wise median of the client models, applied as a
+    delta to w_t; even client counts average the two middle values."""
     return np.median(np.stack([u.new_params for u in updates]), axis=0) - global_params, state
 
 
 def _clipped_mean(global_params, updates, state, cfg, rng):
-    """Uniform mean of deltas clipped at C plus noise; C tracks a quantile."""
+    """Uniform mean of deltas clipped at C plus noise; C tracks a quantile.
+
+    Client deltas are clipped at the current norm C and averaged with uniform
+    1/K weights; per-coordinate noise with std z*C/K is added. C then moves
+    geometrically toward the target quantile of the delta-norm distribution:
+    C' = C * exp(-lr_C * (below_fraction - quantile)).
+    """
     clip = state.clip_norm
     k = len(updates)
     mean_clipped = np.zeros_like(global_params)
@@ -153,6 +156,8 @@ def _identity(delta, state, cfg):
 
 
 def _momentum(delta, state, cfg):
+    """Server momentum over the pseudo-gradient: v' = beta*v + delta,
+    step = lr*v'. beta=0, lr=1 reduces exactly to FedAvg."""
     v = cfg.momentum * _or_zeros(state.momentum_buffer, delta) + delta
     return cfg.lr * v, replace(state, momentum_buffer=v)
 
@@ -164,11 +169,16 @@ def _adaptive(delta, state, cfg, v2):
 
 
 def _adam(delta, state, cfg):
+    """Adam on the server over pseudo-gradients, no bias correction:
+    m' = b1*m + (1-b1)*delta; v2' = b2*v2 + (1-b2)*delta^2;
+    step = lr * m' / (sqrt(v2') + tau)."""
     v2 = cfg.adam_beta2 * _or_zeros(state.second_moment, delta)
     return _adaptive(delta, state, cfg, v2 + (1.0 - cfg.adam_beta2) * delta * delta)
 
 
 def _adagrad(delta, state, cfg):
+    """Adagrad on the server: v2 accumulates delta^2 without decay, so the
+    effective step size anneals as rounds progress."""
     return _adaptive(delta, state, cfg, _or_zeros(state.second_moment, delta) + delta * delta)
 
 
@@ -194,87 +204,15 @@ _KINDS = {
 STRATEGY_KINDS = tuple(_KINDS)
 
 
-def _aggregate(global_params, updates, state, cfg, rng=None):
-    """Check the round's updates, aggregate, take the server step, count the round."""
-    if not updates:
-        raise ProtocolError("aggregation received an empty update set")
-    for u in updates:
-        if u.new_params.shape != global_params.shape:
-            raise ShapeError(
-                f"client {u.client_id} sent {u.new_params.shape[0]} parameters, "
-                f"global model has {global_params.shape[0]}"
-            )
-        if u.num_samples < 1:
-            raise ProtocolError(f"client {u.client_id} reported {u.num_samples} samples")
-    kind = _KINDS[cfg.kind]
-    delta, state = kind.aggregate(global_params, updates, state, cfg, rng)
-    step, state = kind.step(delta, state, cfg)
-    return global_params + step, replace(state, round_index=state.round_index + 1)
-
-
-def aggregate_fedavg(global_params: Array, updates: Updates) -> Array:
-    """Global model plus the sample-weighted mean client delta."""
-    return _aggregate(global_params, updates, StrategyState(), StrategyConfig())[0]
-
-
-def aggregate_fedavgm(
-    global_params: Array, updates: Updates, state: StrategyState, cfg: StrategyConfig
-) -> tuple[Array, StrategyState]:
-    """Server momentum over the pseudo-gradient: v' = beta*v + delta,
-    w' = w + lr*v'. beta=0, lr=1 reduces exactly to FedAvg."""
-    return _aggregate(global_params, updates, state, replace(cfg, kind="fedavgm"))
-
-
-def aggregate_fedadam(
-    global_params: Array, updates: Updates, state: StrategyState, cfg: StrategyConfig
-) -> tuple[Array, StrategyState]:
-    """Adam on the server over pseudo-gradients, no bias correction:
-    m' = b1*m + (1-b1)*delta; v2' = b2*v2 + (1-b2)*delta^2;
-    w' = w + lr * m' / (sqrt(v2') + tau)."""
-    return _aggregate(global_params, updates, state, replace(cfg, kind="fedadam"))
-
-
-def aggregate_fedadagrad(
-    global_params: Array, updates: Updates, state: StrategyState, cfg: StrategyConfig
-) -> tuple[Array, StrategyState]:
-    """Adagrad on the server: v2 accumulates delta^2 without decay, so the
-    effective step size anneals as rounds progress."""
-    return _aggregate(global_params, updates, state, replace(cfg, kind="fedadagrad"))
-
-
-def aggregate_fedmedian(global_params: Array, updates: Updates) -> Array:
-    """Unweighted coordinate-wise median of the client models, applied as a
-    delta to w_t; even client counts average the two middle values."""
-    return _aggregate(global_params, updates, StrategyState(), StrategyConfig("fedmedian"))[0]
-
-
-def aggregate_fedprox(global_params: Array, updates: Updates) -> Array:
-    """Server side is plain FedAvg; the proximal pull toward the global
-    model happens in the clients' local gradient (see train_local)."""
-    return _aggregate(global_params, updates, StrategyState(), StrategyConfig("fedprox"))[0]
-
-
-def aggregate_dp(
-    global_params: Array, updates: Updates, state: StrategyState, cfg: StrategyConfig,
-    rng: np.random.Generator,
-) -> tuple[Array, StrategyState]:
-    """FedAvg with server-side Gaussian noise and adaptive clipping.
-
-    Client deltas are clipped at the current norm C and averaged with uniform
-    1/K weights; per-coordinate noise with std z*C/K is added. C then moves
-    geometrically toward the target quantile of the delta-norm distribution:
-    C' = C * exp(-lr_C * (below_fraction - quantile)).
-    """
-    return _aggregate(global_params, updates, state, replace(cfg, kind="dp"), rng)
-
-
 class Strategy:
-    """Uniform facade over the aggregation steps, owning the state."""
+    """One kind's aggregator and server step, owning the state across rounds."""
 
     def __init__(self, cfg: StrategyConfig):
         cfg.validate()
         self.cfg = cfg
-        self.state = initial_state(cfg)
+        self._row = _KINDS[cfg.kind]
+        self._clips = self._row.aggregate is _clipped_mean
+        self.state = StrategyState(clip_norm=cfg.dp_initial_clip if self._clips else 0.0)
 
     @property
     def kind(self) -> str:
@@ -283,12 +221,30 @@ class Strategy:
     @property
     def client_prox_mu(self) -> float:
         """Proximal coefficient clients apply during local training."""
-        return self.cfg.prox_mu if _KINDS[self.kind].client_prox else 0.0
+        return self.cfg.prox_mu if self._row.client_prox else 0.0
+
+    @property
+    def clip_norm(self) -> float | None:
+        """The current clip norm, or None for a kind that does not clip."""
+        return self.state.clip_norm if self._clips else None
 
     def aggregate(
         self, global_params: Array, updates: Updates, rng: np.random.Generator | None = None
     ) -> Array:
+        """Check the round's updates, aggregate, take the server step, count the round."""
+        if not updates:
+            raise ProtocolError("aggregation received an empty update set")
+        for u in updates:
+            if u.new_params.shape != global_params.shape:
+                raise ShapeError(
+                    f"client {u.client_id} sent {u.new_params.shape[0]} parameters, "
+                    f"global model has {global_params.shape[0]}"
+                )
+            if u.num_samples < 1:
+                raise ProtocolError(f"client {u.client_id} reported {u.num_samples} samples")
         if rng is None:
             rng = np.random.default_rng(0)
-        new_params, self.state = _aggregate(global_params, updates, self.state, self.cfg, rng)
-        return new_params
+        delta, state = self._row.aggregate(global_params, updates, self.state, self.cfg, rng)
+        step, state = self._row.step(delta, state, self.cfg)
+        self.state = replace(state, round_index=state.round_index + 1)
+        return global_params + step

@@ -27,11 +27,6 @@ from fedbench import (
     Strategy,
     StrategyConfig,
     SyntheticSpec,
-    aggregate_dp,
-    aggregate_fedadagrad,
-    aggregate_fedadam,
-    aggregate_fedavg,
-    aggregate_fedmedian,
     dp_clip,
     forward_loss_grad,
     run_experiment,
@@ -42,7 +37,6 @@ from fedbench.data import resolve_data_dir
 from fedbench.partition import PartitionSpec as PSpec
 from fedbench.partition import client_label_skew, partition
 from fedbench.simulation import replica_seed
-from fedbench.strategies import initial_state
 
 from test_partition import balanced_dataset
 from test_strategies import (
@@ -207,7 +201,8 @@ def test_criterion_5_strategy_reduction_equalities():
     params = [w_t + rng.normal(scale=0.1, size=500) for _ in range(10)]
     ns = [int(n) for n in rng.integers(1, 200, size=10)]
 
-    reference = aggregate_fedavg(w_t, updates_with_params(params, ns))
+    fedavg = Strategy(StrategyConfig())
+    reference = fedavg.aggregate(w_t, updates_with_params(params, ns))
     avgm = Strategy(StrategyConfig(kind="fedavgm", momentum=0.0, server_lr=1.0))
     prox = Strategy(StrategyConfig(kind="fedprox", prox_mu=0.0))
     dp = Strategy(StrategyConfig(kind="dp", dp_noise_multiplier=0.0,
@@ -217,7 +212,7 @@ def test_criterion_5_strategy_reduction_equalities():
         avgm.aggregate(w_t, updates_with_params(params, ns)) - reference))
     gap_prox = np.max(np.abs(
         prox.aggregate(w_t, updates_with_params(params, ns)) - reference))
-    uniform_reference = aggregate_fedavg(w_t, updates_with_params(params))
+    uniform_reference = fedavg.aggregate(w_t, updates_with_params(params))
     gap_dp = np.max(np.abs(
         dp.aggregate(w_t, updates_with_params(params, ns),
                      rng=np.random.default_rng(0)) - uniform_reference))
@@ -234,7 +229,9 @@ def test_criterion_6a_median_oracle_thousand_instances():
         k = int(rng.integers(1, 16))
         dim = int(rng.integers(1, 9))
         params = [rng.normal(size=dim) for _ in range(k)]
-        ours = aggregate_fedmedian(np.zeros(dim), updates_with_params(params))
+        ours = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
+            np.zeros(dim), updates_with_params(params)
+        )
         assert np.array_equal(ours, sort_median(params))
     print("\n[criterion 6a] fedmedian == sort oracle on 1000 random instances")
 
@@ -242,20 +239,19 @@ def test_criterion_6a_median_oracle_thousand_instances():
 def test_criterion_6b_adaptive_recurrence_oracle():
     rng = np.random.default_rng(62)
     worst = 0.0
-    for kind, aggregate in (("fedadam", aggregate_fedadam),
-                            ("fedadagrad", aggregate_fedadagrad)):
+    for kind in ("fedadam", "fedadagrad"):
         cfg = StrategyConfig(kind=kind, server_lr=0.2, adam_beta1=0.9,
                              adam_beta2=0.99, adaptivity=1e-3)
         dim = 9
         w_start = rng.normal(size=dim)
         w = w_start.copy()
-        state = initial_state(cfg)
+        strategy = Strategy(cfg)
         per_round, trajectory = [], []
         for _ in range(5):
             params = [w + rng.normal(scale=0.3, size=dim) for _ in range(5)]
             ns = [int(n) for n in rng.integers(1, 20, size=5)]
             per_round.append(list(zip([p.copy() for p in params], ns)))
-            w, state = aggregate(w, updates_with_params(params, ns), state, cfg)
+            w = strategy.aggregate(w, updates_with_params(params, ns))
             trajectory.append(w.copy())
         oracle = scalar_recurrence_trajectory(kind, w_start, per_round, cfg)
         for ours, theirs in zip(trajectory, oracle):
@@ -273,7 +269,9 @@ def test_criterion_6c_weighted_mean_oracle():
         dim = int(rng.integers(1, 40))
         params = [rng.normal(size=dim) for _ in range(k)]
         ns = [int(n) for n in rng.integers(1, 100, size=k)]
-        ours = aggregate_fedavg(np.zeros(dim), updates_with_params(params, ns))
+        ours = Strategy(StrategyConfig()).aggregate(
+            np.zeros(dim), updates_with_params(params, ns)
+        )
         worst = max(worst, float(np.max(np.abs(ours - naive_weighted_mean(params, ns)))))
     print(f"\n[criterion 6c] weighted mean vs naive loop: max gap={worst:.2e} "
           f"(<=1e-12)")
@@ -332,29 +330,25 @@ def test_criterion_9_dp_clip_dynamics():
                          dp_target_quantile=0.5, dp_noise_multiplier=0.0)
     # Closed form across a mix of below/above rounds.
     rng = np.random.default_rng(9)
-    state = initial_state(cfg)
+    strategy = Strategy(cfg)
     w_t = np.zeros(4)
     worst = 0.0
     for _ in range(20):
         k = int(rng.integers(1, 8))
         deltas = [rng.normal(scale=rng.uniform(0.1, 2.0), size=4) for _ in range(k)]
-        below = sum(1 for d in deltas if np.linalg.norm(d) <= state.clip_norm)
-        expected = state.clip_norm * math.exp(-0.2 * (below / k - 0.5))
-        _, state = aggregate_dp(
-            w_t,
-            updates_with_params([w_t + d for d in deltas]),
-            state, cfg, np.random.default_rng(0),
+        clip = strategy.state.clip_norm
+        below = sum(1 for d in deltas if np.linalg.norm(d) <= clip)
+        expected = clip * math.exp(-0.2 * (below / k - 0.5))
+        strategy.aggregate(
+            w_t, updates_with_params([w_t + d for d in deltas]), np.random.default_rng(0)
         )
-        worst = max(worst, abs(state.clip_norm - expected))
+        worst = max(worst, abs(strategy.state.clip_norm - expected))
 
-    state = initial_state(cfg)
-    history = [state.clip_norm]
+    strategy = Strategy(cfg)
+    history = [strategy.state.clip_norm]
     for _ in range(10):
-        _, state = aggregate_dp(
-            w_t, updates_with_params([w_t + 1e-6]), state, cfg,
-            np.random.default_rng(0),
-        )
-        history.append(state.clip_norm)
+        strategy.aggregate(w_t, updates_with_params([w_t + 1e-6]), np.random.default_rng(0))
+        history.append(strategy.state.clip_norm)
     monotone = all(a > b for a, b in zip(history, history[1:]))
     print(f"\n[criterion 9] clip update vs closed form: max gap={worst:.2e} "
           f"(<=1e-12); monotone decrease over 10 all-below rounds: {monotone}")

@@ -7,8 +7,8 @@ from fedbench import (
     AdversarySpec,
     ClientUpdate,
     ConfigError,
-    aggregate_fedavg,
-    aggregate_fedmedian,
+    Strategy,
+    StrategyConfig,
     corrupt,
 )
 
@@ -79,10 +79,12 @@ def test_mean_moves_far_median_stays():
     attacked = [corrupt(u, spec, w_t, np.random.default_rng(i))
                 for i, u in enumerate(honest)]
 
-    clean_avg = np.linalg.norm(aggregate_fedavg(w_t, honest) - w_t)
-    bad_avg = np.linalg.norm(aggregate_fedavg(w_t, attacked) - w_t)
+    fedavg = Strategy(StrategyConfig())
+    clean_avg = np.linalg.norm(fedavg.aggregate(w_t, honest) - w_t)
+    bad_avg = np.linalg.norm(fedavg.aggregate(w_t, attacked) - w_t)
     assert bad_avg >= 10.0 * clean_avg
 
-    clean_med = np.linalg.norm(aggregate_fedmedian(w_t, honest) - w_t)
-    bad_med = np.linalg.norm(aggregate_fedmedian(w_t, attacked) - w_t)
+    median = Strategy(StrategyConfig(kind="fedmedian"))
+    clean_med = np.linalg.norm(median.aggregate(w_t, honest) - w_t)
+    bad_med = np.linalg.norm(median.aggregate(w_t, attacked) - w_t)
     assert bad_med <= 2.0 * clean_med

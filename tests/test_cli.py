@@ -42,7 +42,7 @@ ONE_ABORTS_PARTWAY = (
         .replace("learning_rate = 0.01", "learning_rate = 0.1")
 )
 
-# One fedavg run whose client SGD step overflows: round 2 aborts.
+# One fedavg run whose client SGD step overflows: round 1's loss is NaN, so it aborts.
 EXPLODES = (
     TINY.replace("kind = fedavg, fedmedian", "kind = fedavg")
         .replace("learning_rate = 0.01", "learning_rate = 1e300")
@@ -237,6 +237,16 @@ def test_summarize_empty_dir(tmp_path):
     assert main(["summarize", str(tmp_path)]) == 1
 
 
+def test_output_path_that_is_a_file_exits_1(config_path, tmp_path, capsys):
+    not_a_dir = tmp_path / "results"
+    not_a_dir.write_text("")
+    assert main(["run", "--config", str(config_path), "--out", str(not_a_dir)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert main(["summarize", str(not_a_dir)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not_a_dir.read_text() == ""
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_failure_exits_2_with_partial_flush(config_path, tmp_path, capsys):
     path = tmp_path / "explode.ini"
@@ -248,6 +258,9 @@ def test_numeric_failure_exits_2_with_partial_flush(config_path, tmp_path, capsy
     # Partial results flushed: rounds.csv exists even though the run aborted.
     run_dir = out_dir / "fedavg_synthetic_iid_rep0"
     assert (run_dir / "rounds.csv").exists()
+    # Round 1 aborts on its NaN loss, so run.json is strict JSON with no rounds.
+    strict = json.loads((run_dir / "run.json").read_text(), parse_constant=pytest.fail)
+    assert strict["rounds"] == []
     # The snapshot records the seeds the run derived, as a completed run does.
     config = json.loads((run_dir / "run.json").read_text())["config"]
     assert config["partition"]["seed"] == derived_seed(3, _TAG_PARTITION)

@@ -136,7 +136,10 @@ dataset = synthmnist, synthetic
         # Passed parsing once, then failed every run of the grid.
         (BASELINE + "[model]\nhidden_dims = 0\n", "model.hidden_dims"),
         (BASELINE.replace("synthmnist", "synthmnist, imagenet"), "unknown dataset 'imagenet'"),
-    ], ids=["hidden_zero", "unknown_dataset"])
+        # NaN compares false against every bound, so validate alone lets it through.
+        (BASELINE.replace("alpha = 0.5", "alpha = nan"), "partition.alpha: expected a finite"),
+        (BASELINE + "server_lr = inf\n", "strategy.server_lr: expected a finite"),
+    ], ids=["hidden_zero", "unknown_dataset", "alpha_nan", "server_lr_inf"])
     def test_unrunnable_config_rejected(self, tmp_path, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write(tmp_path, text))

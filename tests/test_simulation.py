@@ -181,6 +181,18 @@ class TestRunRound:
         assert metrics.clip_norm == strategy.state.clip_norm
         assert metrics.clip_norm > 0
 
+    @pytest.mark.parametrize("loss", [np.nan, np.inf])
+    def test_non_finite_loss_aborts_round(self, monkeypatch, loss):
+        spec, shards, eval_x, eval_y = self.setup_round()
+        monkeypatch.setattr(fedbench.simulation, "evaluate_centralized",
+                            lambda *args: (0.5, loss))
+        with pytest.raises(NumericError, match="non-finite loss in round 1"):
+            run_round(
+                init_model(spec), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
+                model=spec, local=LocalOptimizerConfig(), master_seed=5,
+                eval_features=eval_x, eval_labels=eval_y,
+            )
+
 
 class TestEvaluate:
     def test_perfect_predictor(self):

@@ -16,17 +16,10 @@ from fedbench import (
     ShapeError,
     Strategy,
     StrategyConfig,
-    aggregate_dp,
-    aggregate_fedadagrad,
-    aggregate_fedadam,
-    aggregate_fedavg,
-    aggregate_fedavgm,
-    aggregate_fedmedian,
-    aggregate_fedprox,
     dp_clip,
     pseudo_gradient,
 )
-from fedbench.strategies import initial_state
+from fedbench.strategies import STRATEGY_KINDS
 
 
 def updates_from(w_t, deltas, num_samples=None):
@@ -108,19 +101,20 @@ class TestFedAvg:
     def test_single_client_identity(self):
         w_t = np.zeros(2)
         updates = updates_with_params([[1.0, -2.0]], [5])
-        assert np.array_equal(aggregate_fedavg(w_t, updates), [1.0, -2.0])
+        out = Strategy(StrategyConfig()).aggregate(w_t, updates)
+        assert np.array_equal(out, [1.0, -2.0])
 
     def test_weighted_mean_arithmetic(self):
         w_t = np.zeros(1)
         updates = updates_with_params([[0.0], [2.0]], [1, 3])
-        assert aggregate_fedavg(w_t, updates)[0] == 1.5
+        assert Strategy(StrategyConfig()).aggregate(w_t, updates)[0] == 1.5
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(17)
         w_t = rng.normal(size=20)
         params = [rng.normal(size=20) for _ in range(5)]
         ns = [int(n) for n in rng.integers(1, 50, size=5)]
-        result = aggregate_fedavg(w_t, updates_with_params(params, ns))
+        result = Strategy(StrategyConfig()).aggregate(w_t, updates_with_params(params, ns))
         oracle = naive_weighted_mean(params, ns)
         assert np.max(np.abs(result - oracle)) <= 1e-12
 
@@ -129,7 +123,7 @@ class TestFedAvg:
         w_t = rng.normal(size=10)
         updates = updates_with_params([rng.normal(size=10) for _ in range(4)],
                                       [3, 1, 7, 2])
-        avg = aggregate_fedavg(w_t, updates)
+        avg = Strategy(StrategyConfig()).aggregate(w_t, updates)
         via_delta = w_t + pseudo_gradient(w_t, updates)
         assert np.array_equal(avg, via_delta)
 
@@ -150,19 +144,22 @@ class TestFedAvg:
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ProtocolError):
-            aggregate_fedavg(np.zeros(2), [])
+            Strategy(StrategyConfig()).aggregate(np.zeros(2), [])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="client 0"):
-            aggregate_fedavg(np.zeros(2), updates_with_params([[1.0, 2.0, 3.0]]))
+            Strategy(StrategyConfig()).aggregate(
+                np.zeros(2), updates_with_params([[1.0, 2.0, 3.0]])
+            )
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(8)
         params = [rng.normal(size=12) for _ in range(6)]
         ns = [int(n) for n in rng.integers(1, 9, size=6)]
         c = 3.7
-        base = aggregate_fedavg(np.zeros(12), updates_with_params(params, ns))
-        scaled = aggregate_fedavg(
+        fedavg = Strategy(StrategyConfig())
+        base = fedavg.aggregate(np.zeros(12), updates_with_params(params, ns))
+        scaled = fedavg.aggregate(
             np.zeros(12), updates_with_params([c * p for p in params], ns)
         )
         np.testing.assert_allclose(scaled, c * base, rtol=1e-12)
@@ -177,64 +174,57 @@ class TestFedAvgM:
         w_t = rng.normal(size=8)
         updates = updates_with_params([rng.normal(size=8) for _ in range(5)],
                                       [2, 5, 1, 1, 3])
-        cfg = self.cfg(0.0, 1.0)
-        out, _ = aggregate_fedavgm(w_t, updates, initial_state(cfg), cfg)
-        np.testing.assert_allclose(out, aggregate_fedavg(w_t, updates), atol=1e-12)
+        out = Strategy(self.cfg(0.0, 1.0)).aggregate(w_t, updates)
+        np.testing.assert_allclose(out, Strategy(StrategyConfig()).aggregate(w_t, updates),
+                                   atol=1e-12)
 
     def test_first_round(self):
         w_t = np.zeros(1)
-        cfg = self.cfg(0.9, 0.5)
-        out, state = aggregate_fedavgm(
-            w_t, updates_from(w_t, [[1.0]]), initial_state(cfg), cfg
-        )
-        assert state.momentum_buffer[0] == 1.0
+        strategy = Strategy(self.cfg(0.9, 0.5))
+        out = strategy.aggregate(w_t, updates_from(w_t, [[1.0]]))
+        assert strategy.state.momentum_buffer[0] == 1.0
         assert out[0] == 0.5
 
     def test_two_round_hand_recursion(self):
         # Constant delta of 1: v1 = 1, v2 = 1.9, w2 = 1 + 1.9 = 2.9.
-        cfg = self.cfg(0.9, 1.0)
-        state = initial_state(cfg)
+        strategy = Strategy(self.cfg(0.9, 1.0))
         w = np.zeros(1)
         for _ in range(2):
-            w, state = aggregate_fedavgm(w, updates_from(w, [[1.0]]), state, cfg)
+            w = strategy.aggregate(w, updates_from(w, [[1.0]]))
         assert abs(w[0] - 2.9) < 1e-12
-        assert state.round_index == 2
+        assert strategy.state.round_index == 2
 
 
 class TestFedAdam:
     def test_zero_delta_fixed_point(self):
-        cfg = StrategyConfig(kind="fedadam")
         w_t = np.array([1.0, -1.0])
-        out, _ = aggregate_fedadam(
-            w_t, updates_from(w_t, [[0.0, 0.0]]), initial_state(cfg), cfg
+        out = Strategy(StrategyConfig(kind="fedadam")).aggregate(
+            w_t, updates_from(w_t, [[0.0, 0.0]])
         )
         assert np.array_equal(out, w_t)
 
     def test_first_round_hand_values(self):
-        cfg = StrategyConfig(
+        strategy = Strategy(StrategyConfig(
             kind="fedadam", adam_beta1=0.9, adam_beta2=0.99,
             server_lr=0.1, adaptivity=1e-9,
-        )
+        ))
         w_t = np.zeros(1)
-        out, state = aggregate_fedadam(
-            w_t, updates_from(w_t, [[1.0]]), initial_state(cfg), cfg
-        )
-        assert abs(state.first_moment[0] - 0.1) < 1e-15
-        assert abs(state.second_moment[0] - 0.01) < 1e-15
+        out = strategy.aggregate(w_t, updates_from(w_t, [[1.0]]))
+        assert abs(strategy.state.first_moment[0] - 0.1) < 1e-15
+        assert abs(strategy.state.second_moment[0] - 0.01) < 1e-15
         assert abs(out[0] - 0.1) < 1e-8
 
 
 class TestFedAdagrad:
     def test_annealing_closed_form(self):
         # With beta1=0 and constant delta 1, the step at round r is lr/(sqrt(r)+tau).
-        cfg = StrategyConfig(kind="fedadagrad", adam_beta1=0.0,
-                             server_lr=1.0, adaptivity=1e-3)
-        state = initial_state(cfg)
+        strategy = Strategy(StrategyConfig(kind="fedadagrad", adam_beta1=0.0,
+                                           server_lr=1.0, adaptivity=1e-3))
         w = np.zeros(1)
         previous = w[0]
         steps = []
         for r in range(1, 6):
-            w, state = aggregate_fedadagrad(w, updates_from(w, [[1.0]]), state, cfg)
+            w = strategy.aggregate(w, updates_from(w, [[1.0]]))
             step = w[0] - previous
             assert abs(step - 1.0 / (math.sqrt(r) + 1e-3)) < 1e-12
             steps.append(step)
@@ -242,24 +232,20 @@ class TestFedAdagrad:
         assert all(a > b for a, b in zip(steps, steps[1:]))
 
     def test_first_round_hand_values(self):
-        cfg = StrategyConfig(kind="fedadagrad", adam_beta1=0.0,
-                             server_lr=0.1, adaptivity=1e-9)
+        strategy = Strategy(StrategyConfig(kind="fedadagrad", adam_beta1=0.0,
+                                           server_lr=0.1, adaptivity=1e-9))
         w_t = np.zeros(1)
-        out, state = aggregate_fedadagrad(
-            w_t, updates_from(w_t, [[2.0]]), initial_state(cfg), cfg
-        )
-        assert abs(state.second_moment[0] - 4.0) < 1e-15
+        out = strategy.aggregate(w_t, updates_from(w_t, [[2.0]]))
+        assert abs(strategy.state.second_moment[0] - 4.0) < 1e-15
         assert abs(out[0] - 0.1) < 1e-8
 
     def test_zero_first_round_keeps_state_zero(self):
-        cfg = StrategyConfig(kind="fedadagrad")
+        strategy = Strategy(StrategyConfig(kind="fedadagrad"))
         w_t = np.array([2.0])
-        out, state = aggregate_fedadagrad(
-            w_t, updates_from(w_t, [[0.0]]), initial_state(cfg), cfg
-        )
+        out = strategy.aggregate(w_t, updates_from(w_t, [[0.0]]))
         assert np.array_equal(out, w_t)
-        assert state.second_moment[0] == 0.0
-        assert state.round_index == 1
+        assert strategy.state.second_moment[0] == 0.0
+        assert strategy.state.round_index == 1
 
 
 def scalar_recurrence_trajectory(kind, w0, per_round_updates, cfg):
@@ -295,18 +281,17 @@ def test_adaptive_five_round_trajectory_matches_scalar_oracle(kind):
     dim = 7
     cfg = StrategyConfig(kind=kind, server_lr=0.3, adam_beta1=0.9,
                          adam_beta2=0.99, adaptivity=1e-3)
-    aggregate = aggregate_fedadam if kind == "fedadam" else aggregate_fedadagrad
+    strategy = Strategy(cfg)
 
     w_start = rng.normal(size=dim)
     w = w_start.copy()
-    state = initial_state(cfg)
     per_round = []
     trajectory = []
     for _ in range(5):
         params = [w + rng.normal(scale=0.5, size=dim) for _ in range(4)]
         ns = [int(n) for n in rng.integers(1, 10, size=4)]
         per_round.append(list(zip([p.copy() for p in params], ns)))
-        w, state = aggregate(w, updates_with_params(params, ns), state, cfg)
+        w = strategy.aggregate(w, updates_with_params(params, ns))
         trajectory.append(w.copy())
 
     # Oracle consumes the recorded raw client params, not the implementation's deltas.
@@ -317,25 +302,30 @@ def test_adaptive_five_round_trajectory_matches_scalar_oracle(kind):
 
 class TestFedMedian:
     def test_odd_count_ignores_outlier(self):
-        out = aggregate_fedmedian(
+        out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
             np.zeros(1), updates_with_params([[1.0], [2.0], [100.0]])
         )
         assert out[0] == 2.0
 
     def test_even_count_averages_middle(self):
-        out = aggregate_fedmedian(np.zeros(1), updates_with_params([[1.0], [3.0]]))
+        out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
+            np.zeros(1), updates_with_params([[1.0], [3.0]])
+        )
         assert out[0] == 2.0
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(21)
         params = [rng.normal(size=50) for _ in range(20)]
-        result = aggregate_fedmedian(np.zeros(50), updates_with_params(params))
+        result = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
+            np.zeros(50), updates_with_params(params)
+        )
         assert np.array_equal(result, sort_median(params))
 
     def test_weights_ignored(self):
         params = [[0.0], [10.0], [20.0]]
-        a = aggregate_fedmedian(np.zeros(1), updates_with_params(params, [1, 1, 1]))
-        b = aggregate_fedmedian(np.zeros(1), updates_with_params(params, [100, 1, 1]))
+        median = Strategy(StrategyConfig(kind="fedmedian"))
+        a = median.aggregate(np.zeros(1), updates_with_params(params, [1, 1, 1]))
+        b = median.aggregate(np.zeros(1), updates_with_params(params, [100, 1, 1]))
         assert a[0] == b[0] == 10.0
 
     def test_breakdown_bounded_by_honest_values(self):
@@ -344,7 +334,7 @@ class TestFedMedian:
             k = int(rng.integers(3, 12))
             honest = [rng.normal(size=6) for _ in range(k - 1)]
             attacker = rng.normal(scale=1e6, size=6)
-            out = aggregate_fedmedian(
+            out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
                 np.zeros(6), updates_with_params(honest + [attacker])
             )
             lo = np.min(np.stack(honest), axis=0)
@@ -359,7 +349,8 @@ class TestFedProx:
         updates = updates_with_params([rng.normal(size=9) for _ in range(4)],
                                       [1, 2, 3, 4])
         assert np.array_equal(
-            aggregate_fedprox(w_t, updates), aggregate_fedavg(w_t, updates)
+            Strategy(StrategyConfig(kind="fedprox")).aggregate(w_t, updates),
+            Strategy(StrategyConfig()).aggregate(w_t, updates),
         )
 
     def test_strategy_carries_mu_to_clients(self):
@@ -402,63 +393,66 @@ class TestDpAggregate:
         w_t = rng.normal(size=15)
         params = [rng.normal(size=15) for _ in range(6)]
         cfg = self.cfg(dp_noise_multiplier=0.0, dp_initial_clip=1e9)
-        out, _ = aggregate_dp(
-            w_t, updates_with_params(params, [9, 1, 4, 2, 2, 7]),
-            initial_state(cfg), cfg, np.random.default_rng(0),
+        out = Strategy(cfg).aggregate(
+            w_t, updates_with_params(params, [9, 1, 4, 2, 2, 7]), np.random.default_rng(0)
         )
-        uniform = aggregate_fedavg(w_t, updates_with_params(params))
+        uniform = Strategy(StrategyConfig()).aggregate(w_t, updates_with_params(params))
         assert np.max(np.abs(out - uniform)) <= 1e-12
 
     def test_clip_update_closed_form(self):
         # All clients below threshold: C' = C * exp(-0.2 * (1 - 0.5)).
-        cfg = self.cfg()
+        strategy = Strategy(self.cfg())
         w_t = np.zeros(3)
         updates = updates_from(w_t, [[0.1, 0.0, 0.0]] * 4)
-        _, state = aggregate_dp(
-            w_t, updates, initial_state(cfg), cfg, np.random.default_rng(0)
-        )
-        assert abs(state.clip_norm - math.exp(-0.1)) < 1e-12
+        strategy.aggregate(w_t, updates, np.random.default_rng(0))
+        assert abs(strategy.state.clip_norm - math.exp(-0.1)) < 1e-12
 
     def test_seeded_rng_is_reproducible(self):
         rng_params = np.random.default_rng(71)
         w_t = rng_params.normal(size=10)
         params = [rng_params.normal(size=10) for _ in range(5)]
         cfg = self.cfg()
-        a, _ = aggregate_dp(w_t, updates_with_params(params), initial_state(cfg),
-                            cfg, np.random.default_rng(1234))
-        b, _ = aggregate_dp(w_t, updates_with_params(params), initial_state(cfg),
-                            cfg, np.random.default_rng(1234))
+        a = Strategy(cfg).aggregate(w_t, updates_with_params(params),
+                                    np.random.default_rng(1234))
+        b = Strategy(cfg).aggregate(w_t, updates_with_params(params),
+                                    np.random.default_rng(1234))
         assert np.array_equal(a, b)
 
     def test_clip_monotone_down_and_up(self):
         cfg = self.cfg()
         w_t = np.zeros(2)
-        state = initial_state(cfg)
-        history = [state.clip_norm]
+        strategy = Strategy(cfg)
+        history = [strategy.state.clip_norm]
         for _ in range(10):  # deltas well below the clip
-            _, state = aggregate_dp(
-                w_t, updates_from(w_t, [[1e-4, 0.0]] * 3), state, cfg,
-                np.random.default_rng(0),
+            strategy.aggregate(
+                w_t, updates_from(w_t, [[1e-4, 0.0]] * 3), np.random.default_rng(0)
             )
-            history.append(state.clip_norm)
+            history.append(strategy.state.clip_norm)
         assert all(a > b for a, b in zip(history, history[1:]))
 
-        state = initial_state(cfg)
-        history = [state.clip_norm]
+        strategy = Strategy(cfg)
+        history = [strategy.state.clip_norm]
         for _ in range(10):  # deltas far above the clip
-            _, state = aggregate_dp(
-                w_t, updates_from(w_t, [[100.0, 0.0]] * 3), state, cfg,
-                np.random.default_rng(0),
+            strategy.aggregate(
+                w_t, updates_from(w_t, [[100.0, 0.0]] * 3), np.random.default_rng(0)
             )
-            history.append(state.clip_norm)
+            history.append(strategy.state.clip_norm)
         assert all(a < b for a, b in zip(history, history[1:]))
 
+    def test_clip_norm_reported_only_when_clipping(self):
+        strategy = Strategy(self.cfg(dp_initial_clip=0.5))
+        assert strategy.clip_norm == 0.5
+        strategy.aggregate(np.zeros(1), updates_from(np.zeros(1), [[0.1]]))
+        assert strategy.clip_norm == strategy.state.clip_norm != 0.5
+        for kind in STRATEGY_KINDS:
+            if kind != "dp":
+                assert Strategy(StrategyConfig(kind=kind)).clip_norm is None, kind
+
     def test_inputs_left_unchanged(self):
-        cfg = self.cfg()
         w_t = np.array([1.0, -2.0])
         updates = updates_from(w_t, [[3.0, 4.0], [0.01, 0.0]], num_samples=[5, 7])
         before = snapshot(updates)
-        aggregate_dp(w_t, updates, initial_state(cfg), cfg, np.random.default_rng(0))
+        Strategy(self.cfg()).aggregate(w_t, updates, np.random.default_rng(0))
         assert np.array_equal(w_t, [1.0, -2.0])
         assert_unchanged(updates, before)
 
@@ -537,7 +531,8 @@ class TestSharedProperties:
         w_t = rng.normal(size=30)
         params = [rng.normal(size=30) for _ in range(8)]
         ns = [int(n) for n in rng.integers(1, 12, size=8)]
-        reference = aggregate_fedavg(w_t, updates_with_params(params, ns))
+        fedavg = Strategy(StrategyConfig())
+        reference = fedavg.aggregate(w_t, updates_with_params(params, ns))
 
         avgm = Strategy(StrategyConfig(kind="fedavgm", momentum=0.0, server_lr=1.0))
         out = avgm.aggregate(w_t, updates_with_params(params, ns))
@@ -547,7 +542,7 @@ class TestSharedProperties:
         out = prox.aggregate(w_t, updates_with_params(params, ns))
         assert np.max(np.abs(out - reference)) <= 1e-12
 
-        uniform_reference = aggregate_fedavg(w_t, updates_with_params(params))
+        uniform_reference = fedavg.aggregate(w_t, updates_with_params(params))
         dp = Strategy(StrategyConfig(kind="dp", dp_noise_multiplier=0.0,
                                      dp_initial_clip=1e9))
         out = dp.aggregate(w_t, updates_with_params(params, ns),
