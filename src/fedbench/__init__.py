@@ -1,6 +1,9 @@
 """fedbench: desk-scale federated learning simulator for comparing server
 aggregation strategies under IID and Dirichlet-skewed data."""
 
+# Defined before the submodule imports: results reads it.
+__version__ = "0.1.0"
+
 from .adversary import AdversarySpec, corrupt
 from .data import (
     Dataset,
@@ -49,5 +52,3 @@ from .strategies import (
 )
 from .config import config_from_dict, config_to_dict, parse_config, run_id_for
 from .results import write_results, write_summary
-
-__version__ = "0.1.0"

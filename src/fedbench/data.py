@@ -120,12 +120,20 @@ def dataset_shape(name: str, synthetic: SyntheticSpec | None = None) -> tuple[in
 _NOISE_TRUNCATION = 2.0
 
 
+def _read_bytes(path: Path) -> bytes:
+    """A dataset file's contents; a missing or unreadable file is an IngestionError."""
+    if not path.exists():
+        raise IngestionError(f"{path}: file not found")
+    try:
+        return path.read_bytes()
+    except OSError as err:
+        raise IngestionError(f"{path}: cannot read: {err.strerror or err}") from None
+
+
 def _read_idx(path: Path, expected_magic: int) -> Array:
     """Parse one IDX file, plain or gzipped: big-endian magic and dims, then
     raw unsigned bytes."""
-    if not path.exists():
-        raise IngestionError(f"{path}: file not found")
-    raw = path.read_bytes()
+    raw = _read_bytes(path)
     if raw[:2] == b"\x1f\x8b":
         try:
             raw = gzip.decompress(raw)
@@ -185,9 +193,7 @@ def load_cifar10(data_dir: str | os.PathLike, split: str = "train") -> Dataset:
     feats, labs = [], []
     for fname in names:
         path = root / fname
-        if not path.exists():
-            raise IngestionError(f"{path}: file not found")
-        raw = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+        raw = np.frombuffer(_read_bytes(path), dtype=np.uint8)
         if raw.size % 3073 != 0:
             raise IngestionError(f"{path}: size {raw.size} not a multiple of 3073")
         records = raw.reshape(-1, 3073)

@@ -132,15 +132,22 @@ def unpack_params(params: Array, spec: ModelSpec) -> list[tuple[Array, Array]]:
     return layers
 
 
+def _forward(layers: list[tuple[Array, Array]], features: Array) -> tuple[list[Array], Array]:
+    """ReLU hidden layers, then the linear head. Returns the input of each
+    layer (features first) and the (batch, classes) logits."""
+    activations = [features]
+    a = features
+    for w, b in layers[:-1]:
+        a = np.maximum(a @ w + b, 0.0)
+        activations.append(a)
+    w, b = layers[-1]
+    return activations, a @ w + b
+
+
 def forward_logits(params: Array, spec: ModelSpec, features: Array) -> Array:
     """Forward pass only, returns (batch, classes) logits."""
     _check_batch(spec, features)
-    a = features
-    layers = unpack_params(params, spec)
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-    w, b = layers[-1]
-    return a @ w + b
+    return _forward(unpack_params(params, spec), features)[1]
 
 
 def _log_softmax(logits: Array) -> Array:
@@ -173,15 +180,7 @@ def forward_loss_grad(
     layers = unpack_params(params, spec)
     n = features.shape[0]
 
-    # Forward, keeping activations for the backward pass.
-    activations = [features]
-    a = features
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-        activations.append(a)
-    w_out, b_out = layers[-1]
-    logits = a @ w_out + b_out
-
+    activations, logits = _forward(layers, features)
     log_probs = _log_softmax(logits)
     loss = float(-log_probs[np.arange(n), labels].mean())
 

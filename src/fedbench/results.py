@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import config_to_dict
 from .errors import ConfigError
 from .partition import GENERATOR_NAME
@@ -60,15 +61,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("fedbench")
-    except Exception:
-        return "unknown"
 
 
 def _blas_build() -> dict:
@@ -115,7 +107,7 @@ def write_results(
     })
     state = result.strategy_state
     metadata = {
-        "fedbench_version": _package_version(),
+        "fedbench_version": __version__,
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         # Learning columns are bit-identical only for one BLAS build and

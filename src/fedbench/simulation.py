@@ -195,48 +195,12 @@ def evaluate_centralized(
     return correct / n, loss_sum / n
 
 
-def _client_round(
-    global_params: Array,
-    shard: ClientShard,
-    spec: ModelSpec,
-    cfg: LocalOptimizerConfig,
-    rng: np.random.Generator,
-    prox_mu: float,
-    round_idx: int,
-) -> ClientUpdate:
-    """Simulated downlink, local training, and uplink for one client."""
+def _transfer(params: Array) -> tuple[Array, float]:
+    """Simulated transfer of one parameter vector: serialize, deserialize.
+    Returns the received copy and the seconds it took."""
     t0 = time.perf_counter()
-    payload = global_params.tobytes()
-    local_params = np.frombuffer(payload, dtype=np.float64).copy()
-    comm_seconds = time.perf_counter() - t0
-
-    try:
-        trained = train_local(
-            local_params,
-            spec,
-            shard.features,
-            shard.labels,
-            cfg,
-            rng,
-            prox_mu=prox_mu,
-            prox_center=global_params,
-        )
-    except NumericError as err:
-        raise NumericError(
-            f"client {shard.client_id} failed in round {round_idx}: {err}"
-        ) from err
-
-    t0 = time.perf_counter()
-    reply = trained.tobytes()
-    received = np.frombuffer(reply, dtype=np.float64).copy()
-    comm_seconds += time.perf_counter() - t0
-
-    return ClientUpdate(
-        client_id=shard.client_id,
-        new_params=received,
-        num_samples=len(shard),
-        comm_seconds=comm_seconds,
-    )
+    received = np.frombuffer(params.tobytes(), dtype=np.float64).copy()
+    return received, time.perf_counter() - t0
 
 
 def run_round(
@@ -255,38 +219,42 @@ def run_round(
     """Execute one communication round and measure the paper-style metrics.
 
     Clients train one after another in the calling thread, so train_time_s
-    is the sum of the clients' broadcast-to-reply times.
+    is the sum of the clients' broadcast-to-reply times (transfers included)
+    and comm_time_s the sum of their downlink and uplink transfer times.
     """
     if not clients:
         raise ConfigError("round needs at least one client")
 
-    train_start = time.perf_counter()
-    updates = [
-        _client_round(
-            global_params, shard, model, local,
-            derived_rng(master_seed, round_idx, shard.client_id, _TAG_TRAIN),
-            strategy.client_prox_mu, round_idx,
-        )
-        for shard in clients
-    ]
-    train_time = time.perf_counter() - train_start
-
-    for u in updates:
-        if not np.all(np.isfinite(u.new_params)):
+    # Without an attack no adversary RNG is made: each derived_rng costs tens of µs.
+    attacked = adversary is not None and adversary.kind != "none"
+    updates = []
+    train_time = comm_time = 0.0
+    for shard in clients:
+        start = time.perf_counter()
+        local_params, down = _transfer(global_params)
+        rng = derived_rng(master_seed, round_idx, shard.client_id, _TAG_TRAIN)
+        try:
+            trained = train_local(local_params, model, shard.features, shard.labels, local, rng,
+                                  prox_mu=strategy.client_prox_mu, prox_center=global_params)
+        except NumericError as err:
             raise NumericError(
-                f"client {u.client_id} produced non-finite parameters in round {round_idx}"
-            )
+                f"client {shard.client_id} failed in round {round_idx}: {err}"
+            ) from err
+        received, up = _transfer(trained)
+        train_time += time.perf_counter() - start
+        comm_time += down + up
 
-    if adversary is not None and adversary.kind != "none":
-        updates = [
-            corrupt(
-                u,
-                adversary,
-                global_params,
-                derived_rng(master_seed, round_idx, u.client_id, _TAG_ADVERSARY),
+        if not np.all(np.isfinite(received)):
+            raise NumericError(
+                f"client {shard.client_id} produced non-finite parameters in round {round_idx}"
             )
-            for u in updates
-        ]
+        update = ClientUpdate(shard.client_id, new_params=received, num_samples=len(shard))
+        if attacked:
+            update = corrupt(
+                update, adversary, global_params,
+                derived_rng(master_seed, round_idx, shard.client_id, _TAG_ADVERSARY),
+            )
+        updates.append(update)
 
     agg_start = time.perf_counter()
     new_params = strategy.aggregate(
@@ -302,7 +270,6 @@ def run_round(
     acc, loss = evaluate_centralized(new_params, model, eval_features, eval_labels)
     if not np.isfinite(loss):
         raise NumericError(f"evaluation produced a non-finite loss in round {round_idx}")
-    comm_time = sum(u.comm_seconds for u in updates)
     metrics = RoundMetrics(
         round=round_idx,
         centralized_accuracy=acc,

@@ -29,7 +29,6 @@ class ClientUpdate:
     client_id: int
     new_params: Array
     num_samples: int
-    comm_seconds: float = 0.0  # simulated downlink + uplink (de)serialization
 
 
 Updates = list[ClientUpdate]

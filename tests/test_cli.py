@@ -97,7 +97,20 @@ def test_unrunnable_model_exits_1_before_any_run(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_corrupt_dataset_file_fails_only_its_run(tmp_path, capsys):
+def _truncate_gzip(path):
+    path.write_bytes(path.read_bytes()[:-12])
+    return "corrupt gzip"
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+    return "cannot read"
+
+
+@pytest.mark.parametrize("damage", [_truncate_gzip, _replace_with_directory],
+                         ids=["truncated_gzip", "directory"])
+def test_corrupt_dataset_file_fails_only_its_run(damage, tmp_path, capsys):
     mnist = tmp_path / "data" / "mnist"
     mnist.mkdir(parents=True)
     for prefix in ("train", "t10k"):
@@ -106,7 +119,7 @@ def test_corrupt_dataset_file_fails_only_its_run(tmp_path, capsys):
         (mnist / f"{prefix}-images-idx3-ubyte.gz").write_bytes(gzip.compress(images))
         (mnist / f"{prefix}-labels-idx1-ubyte.gz").write_bytes(gzip.compress(labels))
     train_images = mnist / "train-images-idx3-ubyte.gz"
-    train_images.write_bytes(train_images.read_bytes()[:-12])  # truncated stream
+    reason = damage(train_images)
     path = tmp_path / "exp.ini"
     path.write_text(TINY.replace("dataset = synthetic", "dataset = synthetic, mnist")
                         .replace("kind = fedavg, fedmedian", "kind = fedavg"))
@@ -116,7 +129,7 @@ def test_corrupt_dataset_file_fails_only_its_run(tmp_path, capsys):
     assert rc == 2
     out = capsys.readouterr().out
     assert "  fedavg_synthetic_iid_rep0: ok\n" in out
-    assert f"  fedavg_mnist_iid_rep0: FAILED: {train_images}: corrupt gzip" in out
+    assert f"  fedavg_mnist_iid_rep0: FAILED: {train_images}: {reason}" in out
     with open(out_dir / "summary.csv", newline="") as fh:
         assert [r["run_id"] for r in csv.DictReader(fh)] == ["fedavg_synthetic_iid_rep0"]
 
@@ -167,6 +180,7 @@ def test_pool_starts_no_more_workers_than_runs(config_path, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("flags", [
     ["--seed", "-1"], ["--seed", "-1", "--replicas", "2"], ["--jobs", "0"], ["--jobs", "-3"],
+    ["--replicas", "0"],
 ])
 def test_bad_seed_or_jobs_exits_1_before_any_run(flags, config_path, tmp_path, capsys):
     out_dir = tmp_path / "out"

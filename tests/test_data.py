@@ -123,18 +123,28 @@ class TestIdx:
 class TestCifar:
     def test_binary_batches(self, tmp_path):
         rng = np.random.default_rng(1)
+        root = tmp_path / "cifar10"
+        root.mkdir()
+        written = []
         for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
             records = []
             for _ in range(4):
                 label = rng.integers(0, 10, dtype=np.uint8)
+                written.append(int(label))
                 pixels = rng.integers(0, 256, size=3072, dtype=np.uint8)
                 records.append(bytes([label]) + pixels.tobytes())
-            (tmp_path / name).write_bytes(b"".join(records))
-        train = load_cifar10(tmp_path, "train")
-        test = load_cifar10(tmp_path, "test")
+            (root / name).write_bytes(b"".join(records))
+        train = load_cifar10(root, "train")
+        test = load_cifar10(root, "test")
         assert train.features.shape == (20, 3072)
         assert test.features.shape == (4, 3072)
         assert 0.0 <= train.features.min() and train.features.max() <= 1.0
+        assert train.labels.tolist() == written[:20]
+        assert test.labels.tolist() == written[20:]
+        # load_dataset finds the batches under <data_dir>/cifar10/.
+        for loaded, direct in zip(load_dataset("cifar10", str(tmp_path)), (train, test)):
+            assert np.array_equal(loaded.features, direct.features)
+            assert np.array_equal(loaded.labels, direct.labels)
 
     def test_missing_batch(self, tmp_path):
         with pytest.raises(IngestionError, match="data_batch_1"):

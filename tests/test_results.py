@@ -154,6 +154,7 @@ class TestRunJson:
         assert metadata["thread_env"] == {
             "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3",
         }
+        assert metadata["fedbench_version"] == fedbench.__version__
 
 
 class TestDeterminism:

@@ -77,14 +77,23 @@ class TestRunRound:
             model=spec, local=LocalOptimizerConfig(), master_seed=5,
             eval_features=eval_x, eval_labels=eval_y,
         )
-        from fedbench.simulation import _client_round, derived_rng, _TAG_TRAIN
+        from fedbench.simulation import derived_rng, train_local, _TAG_TRAIN
 
-        expected = _client_round(
-            params, shards[0], spec, LocalOptimizerConfig(),
-            derived_rng(5, 1, 0, _TAG_TRAIN), 0.0, 1,
-        ).new_params
+        expected = train_local(
+            params, spec, shards[0].features, shards[0].labels, LocalOptimizerConfig(),
+            derived_rng(5, 1, 0, _TAG_TRAIN), prox_mu=0.0, prox_center=params,
+        )
         assert np.array_equal(new_params, expected)
         assert metrics.round == 1
+
+    def test_empty_client_list_rejected(self):
+        spec, _, eval_x, eval_y = self.setup_round()
+        with pytest.raises(ConfigError, match="at least one client"):
+            run_round(
+                init_model(spec), [], Strategy(StrategyConfig(kind="fedavg")), 1,
+                model=spec, local=LocalOptimizerConfig(), master_seed=5,
+                eval_features=eval_x, eval_labels=eval_y,
+            )
 
     def test_zero_lr_leaves_model_and_accuracy_unchanged(self):
         spec, shards, eval_x, eval_y = self.setup_round()
@@ -139,8 +148,10 @@ class TestRunRound:
     def test_non_finite_client_params_rejected_before_aggregation(self, monkeypatch):
         spec, shards, eval_x, eval_y = self.setup_round()
         real_train_local = fedbench.simulation.train_local
+        calls = []
 
         def overflowing_client_1(params, *args, **kwargs):
+            calls.append(args[1])
             trained = real_train_local(params, *args, **kwargs)
             if args[1] is shards[1].features:
                 trained[3] = np.inf
@@ -156,6 +167,7 @@ class TestRunRound:
                 eval_features=eval_x, eval_labels=eval_y,
             )
         assert strategy.state.round_index == 0
+        assert len(calls) == 2  # the round stops at client 1; client 2 never trains
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_aggregate_aborts_round(self):

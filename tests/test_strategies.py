@@ -146,6 +146,11 @@ class TestFedAvg:
         with pytest.raises(ProtocolError):
             Strategy(StrategyConfig()).aggregate(np.zeros(2), [])
 
+    def test_zero_sample_update_rejected(self):
+        updates = updates_with_params([[1.0, 2.0], [3.0, 4.0]], [5, 0])
+        with pytest.raises(ProtocolError, match="client 1 reported 0 samples"):
+            Strategy(StrategyConfig()).aggregate(np.zeros(2), updates)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="client 0"):
             Strategy(StrategyConfig()).aggregate(
@@ -564,6 +569,12 @@ class TestConfigValidation:
             StrategyConfig(kind="dp", dp_initial_clip=0.0).validate()
         with pytest.raises(ConfigError):
             StrategyConfig(kind="fedadam", adaptivity=0.0).validate()
+        with pytest.raises(ConfigError, match="server_lr must be > 0"):
+            StrategyConfig(kind="fedavgm", server_lr=0.0).validate()
+        with pytest.raises(ConfigError, match="prox_mu must be >= 0"):
+            StrategyConfig(kind="fedprox", prox_mu=-1.0).validate()
+        with pytest.raises(ConfigError, match="dp_noise_multiplier must be >= 0"):
+            StrategyConfig(kind="dp", dp_noise_multiplier=-1.0).validate()
 
     def test_default_server_lr_by_kind(self):
         assert StrategyConfig(kind="fedadam").lr == 0.01
