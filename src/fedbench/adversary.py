@@ -29,6 +29,8 @@ class AdversarySpec:
             raise ConfigError(
                 f"adversary.kind must be one of {ADVERSARY_KINDS}, got {self.kind!r}"
             )
+        if self.kind != "none" and not self.affected_clients:
+            raise ConfigError(f"adversary.clients must name a client for kind {self.kind!r}")
         if num_clients is not None and any(
             c < 0 or c >= num_clients for c in self.affected_clients
         ):

@@ -115,6 +115,10 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
     datasets = _to_list(exp.pop("dataset", ExperimentConfig.dataset))
     modes = _to_list(par.pop("mode", PartitionSpec.mode))
     kinds = _to_list(strat.pop("kind", StrategyConfig.kind))
+    for key, items in [("experiment.dataset", datasets), ("partition.mode", modes),
+                       ("strategy.kind", kinds)]:
+        if not items:
+            raise ConfigError(f"{key}: the list has no items")
     num_clients = exp.get("num_clients", ExperimentConfig.num_clients)
     synthetic = SyntheticSpec(**synth) if synth or "synthetic" in datasets else None
 

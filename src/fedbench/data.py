@@ -237,32 +237,22 @@ def _class_means(
 
 
 def generate_synthetic(
-    num_classes: int,
-    samples_per_class: int,
-    input_dim: int,
-    seed: int,
-    class_sep: float = 6.0,
-    name: str = "synthetic",
-) -> Dataset:
-    """Seeded Gaussian blobs, one per class, rescaled into [0, 1].
+    spec: SyntheticSpec, name: str = "synthetic"
+) -> tuple[Dataset, Dataset]:
+    """Seeded Gaussian blobs, one per class, rescaled into [0, 1], as (train, test).
 
     Means sit on a scaled simplex so the classes are linearly separable;
-    the affine rescale to [0, 1] preserves separability.
+    the affine rescale to [0, 1] preserves separability. One draw covers
+    train + test; each class's first train_per_class rows (in shuffled
+    order) are its training rows.
     """
-    spec = SyntheticSpec(
-        num_classes=num_classes,
-        train_per_class=samples_per_class,
-        test_per_class=1,
-        input_dim=input_dim,
-        class_sep=class_sep,
-        seed=seed,
-    )
     spec.validate()
-    rng = np.random.default_rng(seed)
-    means = _class_means(num_classes, input_dim, class_sep, rng)
-    n = num_classes * samples_per_class
-    labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
-    features = means[labels] + rng.standard_normal((n, input_dim))
+    rng = np.random.default_rng(spec.seed)
+    means = _class_means(spec.num_classes, spec.input_dim, spec.class_sep, rng)
+    per_class = spec.train_per_class + spec.test_per_class
+    n = spec.num_classes * per_class
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
+    features = means[labels] + rng.standard_normal((n, spec.input_dim))
     order = rng.permutation(n)
     features, labels = features[order], labels[order]
 
@@ -274,9 +264,14 @@ def generate_synthetic(
     lo, hi = features.min(), features.max()
     features = (features - lo) / (hi - lo)
 
-    ds = Dataset(features=features, labels=labels, name=name, num_classes=num_classes)
-    ds.validate()
-    return ds
+    train_mask = np.zeros(n, dtype=bool)
+    for c in range(spec.num_classes):
+        train_mask[np.flatnonzero(labels == c)[: spec.train_per_class]] = True
+    train = Dataset(features[train_mask], labels[train_mask], name, spec.num_classes)
+    test = Dataset(features[~train_mask], labels[~train_mask], name, spec.num_classes)
+    train.validate()
+    test.validate()
+    return train, test
 
 
 # The last generated split, keyed by (name, spec fields). A grid varies the
@@ -285,34 +280,18 @@ _last_split: tuple[tuple, tuple[Dataset, Dataset]] | None = None
 
 
 def _generate_split(spec: SyntheticSpec, name: str) -> tuple[Dataset, Dataset]:
-    """One draw covering train + test, split per class deterministically.
-
-    The result is cached for the process and its arrays are read-only, so
-    every caller sees the same data.
-    """
+    """generate_synthetic's split, cached for the process with read-only
+    arrays, so every caller sees the same data."""
     global _last_split
     key = (name, astuple(spec))
     if _last_split is not None and _last_split[0] == key:
         return _last_split[1]
-    per_class = spec.train_per_class + spec.test_per_class
-    full = generate_synthetic(
-        spec.num_classes, per_class, spec.input_dim, spec.seed, spec.class_sep, name
-    )
-    train_mask = np.zeros(len(full), dtype=bool)
-    for c in range(spec.num_classes):
-        class_rows = np.flatnonzero(full.labels == c)
-        train_mask[class_rows[: spec.train_per_class]] = True
-    train = Dataset(
-        full.features[train_mask], full.labels[train_mask], name, spec.num_classes
-    )
-    test = Dataset(
-        full.features[~train_mask], full.labels[~train_mask], name, spec.num_classes
-    )
-    for ds in (train, test):
+    split = generate_synthetic(spec, name)
+    for ds in split:
         ds.features.flags.writeable = False
         ds.labels.flags.writeable = False
-    _last_split = (key, (train, test))
-    return train, test
+    _last_split = (key, split)
+    return split
 
 
 def _idx_pair(root: Path, split: str) -> tuple[Path, Path]:
@@ -346,9 +325,7 @@ def load_dataset(
     """
     width, classes = dataset_shape(name, synthetic)
     if name == "synthetic":
-        spec = synthetic if synthetic is not None else SyntheticSpec()
-        spec.validate()
-        return _generate_split(spec, "synthetic")
+        return _generate_split(synthetic or SyntheticSpec(), "synthetic")
     if name == "synthmnist":
         return _generate_split(SYNTH_MNIST, "synthmnist")
 

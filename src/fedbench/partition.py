@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
 from .errors import ConfigError
 
 Array = np.ndarray
@@ -61,11 +60,11 @@ class Partition:
         return counts
 
 
-def partition(dataset: Dataset, spec: PartitionSpec) -> Partition:
-    """Split dataset indices across clients per the spec; every client gets
-    at least one sample."""
+def partition(labels: Array, spec: PartitionSpec) -> Partition:
+    """Split the indices of a label vector across clients per the spec;
+    every client gets at least one sample."""
     spec.validate()
-    n = len(dataset)
+    n = len(labels)
     if n == 0:
         raise ConfigError("cannot partition an empty dataset")
     if spec.num_clients > n:
@@ -79,7 +78,7 @@ def partition(dataset: Dataset, spec: PartitionSpec) -> Partition:
         order = rng.permutation(n)
         assignments = [chunk for chunk in np.array_split(order, spec.num_clients)]
     else:
-        assignments = _dirichlet_assignments(dataset.labels, spec, rng)
+        assignments = _dirichlet_assignments(labels, spec, rng)
 
     _repair_empty(assignments)
     part = Partition(assignments=assignments)
@@ -102,10 +101,7 @@ def _dirichlet_assignments(
         cuts = (np.cumsum(proportions)[:-1] * len(idx)).astype(np.int64)
         for client, piece in enumerate(np.split(idx, cuts)):
             per_client[client].append(piece)
-    return [
-        np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
-        for pieces in per_client
-    ]
+    return [np.concatenate(pieces) for pieces in per_client]
 
 
 def _repair_empty(assignments: list[Array]) -> None:

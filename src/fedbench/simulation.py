@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .adversary import AdversarySpec, corrupt
-from .data import Dataset, SyntheticSpec, dataset_shape, load_dataset
+from .data import SyntheticSpec, dataset_shape, load_dataset
 from .errors import ConfigError, ExperimentAborted, FedbenchError, NumericError
 from .model import (
     LocalOptimizerConfig,
@@ -282,23 +282,12 @@ def run_round(
     return new_params, metrics
 
 
-def _subset(features: Array, labels: Array, count: int | None, rng: np.random.Generator):
-    if count is None or count >= features.shape[0]:
-        return features, labels
-    keep = rng.permutation(features.shape[0])[:count]
-    return features[keep], labels[keep]
-
-
-def build_shards(train: Dataset, spec: PartitionSpec) -> list[ClientShard]:
-    part = partition(train, spec)
-    return [
-        ClientShard(
-            client_id=k,
-            features=train.features[idx],
-            labels=train.labels[idx],
-        )
-        for k, idx in enumerate(part.assignments)
-    ]
+def _subset(n: int, count: int | None, rng: np.random.Generator) -> slice | Array:
+    """Rows of n that a run uses: all of them as a slice, so indexing copies
+    nothing, or a random `count` of them."""
+    if count is None or count >= n:
+        return slice(None)
+    return rng.permutation(n)[:count]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -316,21 +305,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if model.init_seed is None:
         model.init_seed = derived_seed(cfg.master_seed, _TAG_MODEL_INIT)
 
-    train_x, train_y = _subset(
-        train.features, train.labels, cfg.train_subset,
-        derived_rng(cfg.master_seed, _TAG_SUBSET, 0),
-    )
-    eval_x, eval_y = _subset(
-        test.features, test.labels, cfg.eval_subset,
-        derived_rng(cfg.master_seed, _TAG_SUBSET, 1),
-    )
+    rows = np.arange(len(train))[
+        _subset(len(train), cfg.train_subset, derived_rng(cfg.master_seed, _TAG_SUBSET, 0))
+    ]
+    eval_rows = _subset(len(test), cfg.eval_subset, derived_rng(cfg.master_seed, _TAG_SUBSET, 1))
+    eval_x, eval_y = test.features[eval_rows], test.labels[eval_rows]
 
     pspec = replace(cfg.partition)
     if pspec.seed is None:
         pspec.seed = derived_seed(cfg.master_seed, _TAG_PARTITION)
-    shards = build_shards(
-        Dataset(train_x, train_y, train.name, train.num_classes), pspec
-    )
+    # Each client's rows are copied once, straight from the loaded split.
+    labels = train.labels[rows]
+    shards = [
+        ClientShard(k, train.features[rows[idx]], labels[idx])
+        for k, idx in enumerate(partition(labels, pspec).assignments)
+    ]
 
     resolved = replace(cfg, model=model, partition=pspec)
     global_params = init_model(model)
@@ -342,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         metrics=[],
         final_params=global_params,
         strategy_state=strategy.state,
-        train_size=train_x.shape[0],
+        train_size=len(rows),
         eval_size=eval_x.shape[0],
     )
     for round_idx in range(1, cfg.rounds + 1):

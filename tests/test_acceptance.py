@@ -305,15 +305,15 @@ def test_criterion_8_partition_properties():
             alpha=float(10 ** rng.uniform(-1.5, 2.5)),
             seed=int(rng.integers(0, 2**32)),
         )
-        part = partition(ds, spec)
+        part = partition(ds.labels, spec)
         part.check_disjoint_cover(len(ds))
 
     means = {}
     for alpha in (0.1, 0.5, 100.0):
         skews = [
             client_label_skew(
-                partition(ds, PSpec(mode="dirichlet", num_clients=10,
-                                    alpha=alpha, seed=seed)),
+                partition(ds.labels, PSpec(mode="dirichlet", num_clients=10,
+                                           alpha=alpha, seed=seed)),
                 ds.labels, 10,
             )
             for seed in range(20)

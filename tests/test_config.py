@@ -139,7 +139,14 @@ dataset = synthmnist, synthetic
         # NaN compares false against every bound, so validate alone lets it through.
         (BASELINE.replace("alpha = 0.5", "alpha = nan"), "partition.alpha: expected a finite"),
         (BASELINE + "server_lr = inf\n", "strategy.server_lr: expected a finite"),
-    ], ids=["hidden_zero", "unknown_dataset", "alpha_nan", "server_lr_inf"])
+        # An axis list with no items made an empty grid that exited 0.
+        (BASELINE.replace("kind = fedavg", "kind = ,"), "strategy.kind: the list has no items"),
+        (BASELINE.replace("mode = dirichlet", "mode = ,"), "partition.mode: the list has no items"),
+        (BASELINE.replace("dataset = synthmnist", "dataset = ,"), "experiment.dataset: the list"),
+        # An attack on no client ran as an honest experiment.
+        (BASELINE + "[adversary]\nkind = scale\nscale_factor = -4\n", "adversary.clients"),
+    ], ids=["hidden_zero", "unknown_dataset", "alpha_nan", "server_lr_inf",
+            "kind_empty_list", "mode_empty_list", "dataset_empty_list", "attack_without_clients"])
     def test_unrunnable_config_rejected(self, tmp_path, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write(tmp_path, text))

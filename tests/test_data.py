@@ -153,21 +153,21 @@ class TestCifar:
 
 class TestSynthetic:
     def test_counts_and_balance(self):
-        ds = generate_synthetic(3, 10, 2, seed=1)
+        ds, _ = generate_synthetic(SyntheticSpec(3, 10, 1, 2, seed=1))
         assert len(ds) == 30
         assert sorted(np.unique(ds.labels)) == [0, 1, 2]
         assert np.all(np.bincount(ds.labels) == 10)
         assert 0.0 <= ds.features.min() and ds.features.max() <= 1.0
 
     def test_deterministic(self):
-        a = generate_synthetic(3, 10, 2, seed=1)
-        b = generate_synthetic(3, 10, 2, seed=1)
+        a, _ = generate_synthetic(SyntheticSpec(3, 10, 1, 2, seed=1))
+        b, _ = generate_synthetic(SyntheticSpec(3, 10, 1, 2, seed=1))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_linearly_separable(self):
         # Central training of a bare linear softmax is the separability oracle.
-        ds = generate_synthetic(3, 40, 2, seed=1)
+        ds, _ = generate_synthetic(SyntheticSpec(3, 40, 1, 2, seed=1))
         spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=3, init_seed=0)
         cfg = LocalOptimizerConfig(kind="adam", learning_rate=0.05,
                                    batch_size=30, local_epochs=60)
@@ -180,9 +180,9 @@ class TestSynthetic:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            generate_synthetic(0, 5, 2, seed=1)
+            generate_synthetic(SyntheticSpec(0, 5, 1, 2, seed=1))
         with pytest.raises(ConfigError):
-            generate_synthetic(3, 5, 2, seed=1, class_sep=-1.0)
+            generate_synthetic(SyntheticSpec(3, 5, 1, 2, class_sep=-1.0, seed=1))
 
 
 class TestRegistry:

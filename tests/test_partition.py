@@ -41,13 +41,13 @@ GOLDEN_ALPHA05_SEED42 = np.array([
 class TestIid:
     def test_equal_split(self):
         ds = balanced_dataset(10, 10)  # 100 samples
-        part = partition(ds, PartitionSpec(mode="iid", num_clients=10, seed=0))
+        part = partition(ds.labels, PartitionSpec(mode="iid", num_clients=10, seed=0))
         assert part.sizes() == [10] * 10
         part.check_disjoint_cover(100)
 
     def test_near_equal_when_not_divisible(self):
         ds = balanced_dataset(5, 21)  # 105 samples over 10 clients
-        part = partition(ds, PartitionSpec(mode="iid", num_clients=10, seed=1))
+        part = partition(ds.labels, PartitionSpec(mode="iid", num_clients=10, seed=1))
         sizes = part.sizes()
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 105
@@ -57,7 +57,7 @@ class TestDirichlet:
     def test_huge_alpha_is_near_uniform(self):
         ds = balanced_dataset(10, 100)  # 1000 samples
         spec = PartitionSpec(mode="dirichlet", num_clients=10, alpha=1e6, seed=3)
-        part = partition(ds, spec)
+        part = partition(ds.labels, spec)
         counts = part.class_counts(ds.labels, 10)
         proportions = counts / counts.sum(axis=1, keepdims=True)
         assert np.max(np.abs(proportions - 0.1)) < 0.02
@@ -65,7 +65,7 @@ class TestDirichlet:
     def test_golden_fixture(self):
         ds = balanced_dataset(10, 6000)
         spec = PartitionSpec(mode="dirichlet", num_clients=10, alpha=0.5, seed=42)
-        part = partition(ds, spec)
+        part = partition(ds.labels, spec)
         counts = part.class_counts(ds.labels, 10)
         assert np.array_equal(counts, GOLDEN_ALPHA05_SEED42)
         # Skew sanity the fixture was audited for.
@@ -81,7 +81,7 @@ class TestDirichlet:
                 spec = PartitionSpec(
                     mode="dirichlet", num_clients=10, alpha=alpha, seed=seed
                 )
-                part = partition(ds, spec)
+                part = partition(ds.labels, spec)
                 skews.append(client_label_skew(part, ds.labels, 10))
             means[alpha] = float(np.mean(skews))
         assert means[0.1] > means[0.5] > means[100.0]
@@ -89,7 +89,7 @@ class TestDirichlet:
     def test_every_client_nonempty_under_extreme_skew(self):
         ds = balanced_dataset(2, 10)  # 20 samples, extreme alpha
         spec = PartitionSpec(mode="dirichlet", num_clients=10, alpha=0.01, seed=5)
-        part = partition(ds, spec)
+        part = partition(ds.labels, spec)
         assert min(part.sizes()) >= 1
         part.check_disjoint_cover(20)
 
@@ -106,15 +106,15 @@ class TestInvariants:
                 alpha=float(10 ** rng.uniform(-1.5, 2)),
                 seed=int(rng.integers(0, 2**32)),
             )
-            part = partition(ds, spec)
+            part = partition(ds.labels, spec)
             part.check_disjoint_cover(280)
             assert min(part.sizes()) >= 1
 
     def test_deterministic(self):
         ds = balanced_dataset(4, 25)
         spec = PartitionSpec(mode="dirichlet", num_clients=6, alpha=0.3, seed=9)
-        a = partition(ds, spec)
-        b = partition(ds, spec)
+        a = partition(ds.labels, spec)
+        b = partition(ds.labels, spec)
         for x, y in zip(a.assignments, b.assignments):
             assert np.array_equal(x, y)
 
@@ -123,7 +123,7 @@ class TestErrors:
     def test_more_clients_than_samples(self):
         ds = balanced_dataset(2, 2)
         with pytest.raises(ConfigError, match="at least one"):
-            partition(ds, PartitionSpec(mode="iid", num_clients=5, seed=0))
+            partition(ds.labels, PartitionSpec(mode="iid", num_clients=5, seed=0))
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -136,4 +136,4 @@ class TestErrors:
     def test_empty_dataset(self):
         ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), "empty", 1)
         with pytest.raises(ConfigError):
-            partition(ds, PartitionSpec(mode="iid", num_clients=1, seed=0))
+            partition(ds.labels, PartitionSpec(mode="iid", num_clients=1, seed=0))

@@ -4,6 +4,7 @@ import csv
 import json
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +156,15 @@ class TestRunJson:
             "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3",
         }
         assert metadata["fedbench_version"] == fedbench.__version__
+
+    def test_package_version_is_fedbench_version(self):
+        # pyproject.toml names no version of its own, so the one run.json records is the package's.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "fedbench.__version__"}
 
 
 class TestDeterminism:

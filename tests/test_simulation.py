@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbench import (
     ClientShard,
@@ -21,12 +23,14 @@ from fedbench import (
     StrategyConfig,
     SyntheticSpec,
     evaluate_centralized,
+    forward_loss_grad,
     init_model,
+    load_dataset,
     run_experiment,
     run_round,
 )
 import fedbench.simulation
-from fedbench.simulation import replica_seed
+from fedbench.simulation import _TAG_SUBSET, derived_rng, replica_seed
 
 
 def tiny_config(**overrides):
@@ -319,6 +323,37 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.train_size == 50
         assert result.eval_size == 10
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_clients=st.integers(1, 6),
+           mode=st.sampled_from(["iid", "dirichlet"]),
+           alpha=st.sampled_from([0.05, 0.3, 1.0, 100.0]),
+           train_subset=st.none() | st.integers(10, 179),
+           kind=st.sampled_from(["fedavg", "fedprox"]))
+    def test_fedsgd_round_is_one_full_batch_gradient_step(
+        self, seed, num_clients, mode, alpha, train_subset, kind
+    ):
+        # One epoch of SGD on one batch per client, averaged with weights
+        # n_k / n, is one gradient step on the union of the shards (FedSGD).
+        # FedProx's pull is zero at the broadcast point, so it agrees.
+        cfg = tiny_config(
+            rounds=1, num_clients=num_clients, master_seed=seed, train_subset=train_subset,
+            partition=PartitionSpec(mode=mode, num_clients=num_clients, alpha=alpha),
+            local=LocalOptimizerConfig(kind="sgd", learning_rate=0.1, batch_size=180,
+                                       local_epochs=1),
+            strategy=StrategyConfig(kind=kind),
+        )
+        result = run_experiment(cfg)
+        train, _ = load_dataset("synthetic", synthetic=cfg.synthetic)
+        n = len(train)
+        rows = np.arange(n)
+        if train_subset is not None and train_subset < n:
+            rows = derived_rng(seed, _TAG_SUBSET, 0).permutation(n)[:train_subset]
+        w0 = init_model(result.config.model)
+        _, grad = forward_loss_grad(w0, result.config.model,
+                                    train.features[rows], train.labels[rows])
+        assert result.train_size == len(rows)
+        np.testing.assert_allclose(result.final_params, w0 - 0.1 * grad, rtol=0, atol=1e-12)
 
     def test_caller_config_left_unchanged(self):
         cfg = tiny_config(rounds=1)
