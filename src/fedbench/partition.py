@@ -67,6 +67,8 @@ def partition(labels: Array, spec: PartitionSpec) -> Partition:
     n = len(labels)
     if n == 0:
         raise ConfigError("cannot partition an empty dataset")
+    if labels.min() < 0:
+        raise ConfigError(f"labels must be >= 0, got {labels.min()}")
     if spec.num_clients > n:
         raise ConfigError(
             f"cannot give {spec.num_clients} clients at least one of {n} samples"

@@ -119,8 +119,13 @@ def _mean(global_params, updates, state, cfg, rng):
 
 def _median(global_params, updates, state, cfg, rng):
     """Unweighted coordinate-wise median of the client models, applied as a
-    delta to w_t; even client counts average the two middle values."""
-    return np.median(np.stack([u.new_params for u in updates]), axis=0) - global_params, state
+    delta to w_t; even client counts average the two middle values. Equal
+    to np.median, NaN columns included, from one sort instead of a partition."""
+    s = np.sort(np.stack([u.new_params for u in updates]), axis=0)
+    k = len(updates)
+    mid = s[k // 2] if k % 2 else (s[k // 2 - 1] + s[k // 2]) / 2
+    np.copyto(mid, np.nan, where=np.isnan(s[-1]))  # the sort puts NaNs last
+    return mid - global_params, state
 
 
 def _clipped_mean(global_params, updates, state, cfg, rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedbench import ConfigError, PartitionSpec, client_label_skew, partition
 from fedbench.data import Dataset
@@ -137,3 +139,17 @@ class TestErrors:
         ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), "empty", 1)
         with pytest.raises(ConfigError):
             partition(ds.labels, PartitionSpec(mode="iid", num_clients=1, seed=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        labels=st.lists(st.integers(-5, 9), min_size=1, max_size=40).filter(
+            lambda xs: min(xs) < 0
+        ),
+        mode=st.sampled_from(["iid", "dirichlet"]),
+        num_clients=st.integers(1, 4),
+    )
+    def test_negative_label_rejected(self, labels, mode, num_clients):
+        labels = np.array(labels, dtype=np.int64)
+        spec = PartitionSpec(mode=mode, num_clients=num_clients, seed=0)
+        with pytest.raises(ConfigError, match=f"got {labels.min()}$"):
+            partition(labels, spec)

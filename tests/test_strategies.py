@@ -346,6 +346,22 @@ class TestFedMedian:
             hi = np.max(np.stack(honest), axis=0)
             assert np.all(out >= lo) and np.all(out <= hi)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 12))
+    def test_matches_np_median(self, data, dim, k):
+        """One sort equals np.median for odd and even client counts, with
+        ties, signed zeros, infinities and NaN columns drawn often."""
+        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        element = special | st.floats(-1e6, 1e6, allow_nan=False)
+        params = data.draw(st.lists(arrays(np.float64, dim, elements=element),
+                                    min_size=k, max_size=k))
+        with np.errstate(invalid="ignore"):  # both warn on inf + -inf
+            out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
+                np.zeros(dim), updates_with_params(params)
+            )
+            want = np.median(np.stack(params), axis=0)
+        assert np.array_equal(out, want, equal_nan=True)
+
 
 class TestFedProx:
     def test_server_side_is_fedavg(self):
