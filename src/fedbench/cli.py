@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -83,6 +84,9 @@ def _execute_one(args: tuple[ExperimentConfig, str, int, str]) -> str | None:
         return str(err)
     except FedbenchError as err:
         return str(err)
+    except Exception as err:  # a defect: keep its traceback, and fail only this run
+        traceback.print_exc()
+        return f"{type(err).__name__}: {err}"
     return None
 
 

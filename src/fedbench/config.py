@@ -1,7 +1,7 @@
 """Experiment configuration: INI-style files, grid expansion, snapshots.
 
 Each section fills one config dataclass: its keys are the field names (two
-aliases aside, see _SECTIONS), typed by the field annotations and defaulting to
+aliases aside, see _KEY_OF), typed by the field annotations and defaulting to
 the field defaults. The dataset, partition mode, and strategy kind accept
 comma-separated lists; a file with lists expands to the cross-product of runs.
 """
@@ -25,38 +25,36 @@ from .partition import PartitionSpec
 from .simulation import ExperimentConfig
 from .strategies import StrategyConfig
 
-def _keys(names: str, **aliases: str) -> dict[str, str]:
-    return {**{name: name for name in names.split()}, **aliases}
-
-
-# INI section -> (dataclass it fills, {INI key: field it sets}). A dataclass
-# field missing here (model.activation, partition.num_clients) is not settable;
-# model.input_dim and model.output_classes are the dataset's shape.
-_SECTIONS = {
-    "experiment": (ExperimentConfig, _keys(
-        "dataset rounds num_clients master_seed train_subset eval_subset data_dir")),
-    "partition": (PartitionSpec, _keys("mode alpha seed")),
-    "model": (ModelSpec, _keys("hidden_dims init_seed")),
-    "local": (LocalOptimizerConfig, _keys(
-        "learning_rate batch_size local_epochs adam_beta1 adam_beta2 adam_epsilon",
-        optimizer="kind")),
-    "strategy": (StrategyConfig, _keys(
-        "kind server_lr momentum adam_beta1 adam_beta2 adaptivity prox_mu "
-        "dp_noise_multiplier dp_target_quantile dp_clip_lr dp_initial_clip")),
-    "synthetic": (SyntheticSpec, _keys(
-        "num_classes train_per_class test_per_class input_dim class_sep seed")),
-    "adversary": (AdversarySpec, _keys("kind scale_factor", clients="affected_clients")),
-}
-
-
-def _to_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
+# INI key of each field whose key is not its name; None: not settable
+# (model.input_dim and model.output_classes are the dataset's shape).
+_KEY_OF = {"local.kind": "optimizer", "adversary.affected_clients": "clients",
+           "model.input_dim": None, "model.output_classes": None}
 
 
 def _unwrap_optional(hint):
     if isinstance(hint, types.UnionType):
         (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
     return hint
+
+
+def _section(name: str, cls: type) -> tuple[type, dict[str, str]]:
+    """(cls, {INI key: field it sets}); a field holding a dataclass is a
+    section of its own."""
+    hints = typing.get_type_hints(cls)
+    return cls, {key: f.name for f in fields(cls)
+                 if (key := _KEY_OF.get(f"{name}.{f.name}", f.name))
+                 and not is_dataclass(_unwrap_optional(hints[f.name]))}
+
+
+_SECTIONS = {name: _section(name, cls) for name, cls in [
+    ("experiment", ExperimentConfig), ("partition", PartitionSpec), ("model", ModelSpec),
+    ("local", LocalOptimizerConfig), ("strategy", StrategyConfig),
+    ("synthetic", SyntheticSpec), ("adversary", AdversarySpec),
+]}
+
+
+def _to_list(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
 
 
 def _coerce(text: str, hint, key: str):
@@ -119,7 +117,6 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
                        ("strategy.kind", kinds)]:
         if not items:
             raise ConfigError(f"{key}: the list has no items")
-    num_clients = exp.get("num_clients", ExperimentConfig.num_clients)
     synthetic = SyntheticSpec(**synth) if synth or "synthetic" in datasets else None
 
     configs = []
@@ -128,7 +125,7 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
         model = {"hidden_dims": [256] if dataset == "cifar10" else [128], **mod}
         cfg = ExperimentConfig(
             dataset=dataset,
-            partition=PartitionSpec(mode=mode, num_clients=num_clients, **par),
+            partition=PartitionSpec(mode=mode, **par),
             model=ModelSpec(input_dim, output_classes=classes, **copy.deepcopy(model)),
             local=LocalOptimizerConfig(**loc),
             strategy=StrategyConfig(kind=kind, **strat),
@@ -141,12 +138,18 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
     return configs
 
 
+def run_identity(cfg: ExperimentConfig) -> dict:
+    """What tells a run apart in a grid: alpha counts only for Dirichlet."""
+    mode = cfg.partition.mode
+    return {"strategy": cfg.strategy.kind, "dataset": cfg.dataset, "partition_mode": mode,
+            "alpha": cfg.partition.alpha if mode == "dirichlet" else None}
+
+
 def run_id_for(cfg: ExperimentConfig, replicate: int) -> str:
-    parts = [cfg.strategy.kind, cfg.dataset, cfg.partition.mode]
-    if cfg.partition.mode == "dirichlet":
-        parts.append(f"a{cfg.partition.alpha:g}")
-    parts.append(f"rep{replicate}")
-    return "_".join(parts)
+    *parts, alpha = run_identity(cfg).values()
+    if alpha is not None:
+        parts.append(f"a{alpha:g}")
+    return "_".join([*parts, f"rep{replicate}"])
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

@@ -25,7 +25,6 @@ class ModelSpec:
     input_dim: int
     hidden_dims: list[int] = field(default_factory=list)
     output_classes: int = 10
-    activation: str = "relu"
     init_seed: int | None = None
 
     def validate(self) -> None:
@@ -37,8 +36,6 @@ class ModelSpec:
             )
         if any(h < 1 for h in self.hidden_dims):
             raise ConfigError(f"model.hidden_dims must all be >= 1, got {self.hidden_dims}")
-        if self.activation != "relu":
-            raise ConfigError(f"unsupported activation {self.activation!r}")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per layer, input to output."""

@@ -21,7 +21,6 @@ GENERATOR_NAME = "numpy-pcg64"
 @dataclass
 class PartitionSpec:
     mode: str = "iid"
-    num_clients: int = 10
     alpha: float = 0.5
     seed: int | None = None  # None: derived from the experiment master seed
 
@@ -30,8 +29,6 @@ class PartitionSpec:
             raise ConfigError(
                 f"partition.mode must be one of {PARTITION_MODES}, got {self.mode!r}"
             )
-        if self.num_clients < 1:
-            raise ConfigError(f"partition.num_clients must be >= 1, got {self.num_clients}")
         if self.alpha <= 0:
             raise ConfigError(f"partition.alpha must be > 0, got {self.alpha}")
 
@@ -60,27 +57,25 @@ class Partition:
         return counts
 
 
-def partition(labels: Array, spec: PartitionSpec) -> Partition:
-    """Split the indices of a label vector across clients per the spec;
-    every client gets at least one sample."""
+def partition(labels: Array, spec: PartitionSpec, num_clients: int) -> Partition:
+    """Split the indices of a label vector across num_clients clients per the
+    spec; every client gets at least one sample."""
     spec.validate()
     n = len(labels)
     if n == 0:
         raise ConfigError("cannot partition an empty dataset")
     if labels.min() < 0:
         raise ConfigError(f"labels must be >= 0, got {labels.min()}")
-    if spec.num_clients > n:
-        raise ConfigError(
-            f"cannot give {spec.num_clients} clients at least one of {n} samples"
-        )
+    if not 1 <= num_clients <= n:
+        raise ConfigError(f"cannot give {num_clients} clients at least one of {n} samples")
     seed = 0 if spec.seed is None else spec.seed
     rng = np.random.default_rng(seed)
 
     if spec.mode == "iid":
         order = rng.permutation(n)
-        assignments = [chunk for chunk in np.array_split(order, spec.num_clients)]
+        assignments = [chunk for chunk in np.array_split(order, num_clients)]
     else:
-        assignments = _dirichlet_assignments(labels, spec, rng)
+        assignments = _dirichlet_assignments(labels, spec.alpha, num_clients, rng)
 
     _repair_empty(assignments)
     part = Partition(assignments=assignments)
@@ -89,17 +84,16 @@ def partition(labels: Array, spec: PartitionSpec) -> Partition:
 
 
 def _dirichlet_assignments(
-    labels: Array, spec: PartitionSpec, rng: np.random.Generator
+    labels: Array, alpha: float, k: int, rng: np.random.Generator
 ) -> list[Array]:
-    """Per class, draw client proportions ~ Dir(alpha) and slice that class's
-    shuffled indices by cumulative proportion."""
-    k = spec.num_clients
+    """Per class, draw client proportions ~ Dir(alpha) over k clients and slice
+    that class's shuffled indices by cumulative proportion."""
     per_client: list[list[Array]] = [[] for _ in range(k)]
     num_classes = int(labels.max()) + 1
     for c in range(num_classes):
         idx = np.flatnonzero(labels == c)
         rng.shuffle(idx)
-        proportions = rng.dirichlet(np.full(k, spec.alpha))
+        proportions = rng.dirichlet(np.full(k, alpha))
         cuts = (np.cumsum(proportions)[:-1] * len(idx)).astype(np.int64)
         for client, piece in enumerate(np.split(idx, cuts)):
             per_client[client].append(piece)

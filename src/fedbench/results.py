@@ -20,35 +20,24 @@ import json
 import os
 import platform
 import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import config_to_dict
+from .config import config_to_dict, run_identity
 from .errors import ConfigError
 from .partition import GENERATOR_NAME
-from .simulation import ExperimentResult, RoundMetrics
+from .simulation import ExperimentConfig, ExperimentResult, RoundMetrics
 
-_IDENTITY_COLUMNS = ["run_id", "strategy", "dataset", "partition_mode", "alpha"]
+_IDENTITY_COLUMNS = ["run_id", *run_identity(ExperimentConfig())]
 
-# Per-round column in rounds.csv and run.json -> RoundMetrics field.
-_ROUND_FIELDS = {
-    "round": "round",
-    "acc": "centralized_accuracy",
-    "loss": "centralized_loss",
-    "agg_time_s": "agg_time_s",
-    "train_time_s": "train_time_s",
-    "comm_time_s": "comm_time_s",
-}
+# rounds.csv has one column per RoundMetrics field; the clip norm is in run.json only.
+_METRIC_COLUMNS = [f.name for f in fields(RoundMetrics) if f.name != "clip_norm"]
+_TIMING_COLUMNS = [name for name in _METRIC_COLUMNS if name.endswith("_time_s")]
 
-ROUNDS_COLUMNS = _IDENTITY_COLUMNS + list(_ROUND_FIELDS)
-
-SUMMARY_COLUMNS = [
-    "run_id", "strategy", "dataset", "partition_mode", "alpha", "replicate",
-    "rounds", "final_acc", "final_loss",
-    "mean_agg_time_s", "mean_train_time_s", "mean_comm_time_s",
-]
+ROUNDS_COLUMNS = _IDENTITY_COLUMNS + _METRIC_COLUMNS
 
 _REP_SUFFIX = re.compile(r"_rep\d+$")
 
@@ -69,21 +58,20 @@ def _blas_build() -> dict:
 
 
 def summarize_rounds(rounds: list[RoundMetrics]) -> dict:
-    """Final accuracy/loss plus arithmetic means of the timing columns."""
-    if not rounds:
-        return {
-            "rounds": 0, "final_acc": None, "final_loss": None,
-            "mean_agg_time_s": None, "mean_train_time_s": None,
-            "mean_comm_time_s": None,
-        }
-    return {
-        "rounds": len(rounds),
-        "final_acc": rounds[-1].centralized_accuracy,
-        "final_loss": rounds[-1].centralized_loss,
-        "mean_agg_time_s": sum(r.agg_time_s for r in rounds) / len(rounds),
-        "mean_train_time_s": sum(r.train_time_s for r in rounds) / len(rounds),
-        "mean_comm_time_s": sum(r.comm_time_s for r in rounds) / len(rounds),
+    """Final accuracy/loss plus arithmetic means of the timing columns; None
+    for each of them when there is no round."""
+    n = len(rounds)
+    summary = {
+        "rounds": n,
+        "final_acc": rounds[-1].acc if n else None,
+        "final_loss": rounds[-1].loss if n else None,
     }
+    for name in _TIMING_COLUMNS:
+        summary[f"mean_{name}"] = sum(getattr(r, name) for r in rounds) / n if n else None
+    return summary
+
+
+SUMMARY_COLUMNS = _IDENTITY_COLUMNS + ["replicate", *summarize_rounds([])]
 
 
 def write_results(
@@ -96,15 +84,9 @@ def write_results(
     """Write one run's rounds.csv, run.json and state.npz; error, when given,
     marks an aborted run's metadata. Returns the run directory."""
     cfg = result.config
-    summary = summarize_rounds(result.metrics)
-    summary.update({
-        "run_id": run_id,
-        "strategy": cfg.strategy.kind,
-        "dataset": cfg.dataset,
-        "partition_mode": cfg.partition.mode,
-        "alpha": cfg.partition.alpha if cfg.partition.mode == "dirichlet" else None,
-        "replicate": replicate,
-    })
+    summary = summarize_rounds(result.metrics) | {
+        "run_id": run_id, **run_identity(cfg), "replicate": replicate,
+    }
     state = result.strategy_state
     metadata = {
         "fedbench_version": __version__,
@@ -115,12 +97,8 @@ def write_results(
         "blas": _blas_build(),
         "thread_env": {k: os.environ.get(k) for k in _THREAD_VARS},
         "rng": GENERATOR_NAME,
-        "master_seed": cfg.master_seed,
-        "partition_seed": cfg.partition.seed,
-        "model_init_seed": cfg.model.init_seed,
         "train_size": result.train_size,
         "eval_size": result.eval_size,
-        "replicate": replicate,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "strategy_round_index": state.round_index,
         "strategy_clip_norm": state.clip_norm,
@@ -131,10 +109,7 @@ def write_results(
         "run_id": run_id,
         "replicate": replicate,
         "config": config_to_dict(cfg),
-        "rounds": [
-            {c: getattr(r, f) for c, f in _ROUND_FIELDS.items()} | {"clip_norm": r.clip_norm}
-            for r in result.metrics
-        ],
+        "rounds": [asdict(r) for r in result.metrics],
         "summary": summary,
         "metadata": metadata,
         "state_file": "state.npz",
@@ -149,7 +124,7 @@ def write_results(
             writer = csv.writer(fh)
             writer.writerow(ROUNDS_COLUMNS)
             for r in result.metrics:
-                writer.writerow(identity + [_fmt(getattr(r, f)) for f in _ROUND_FIELDS.values()])
+                writer.writerow(identity + [_fmt(getattr(r, c)) for c in _METRIC_COLUMNS])
         with open(run_dir / "run.json", "w") as fh:
             json.dump(run, fh, indent=2)
             fh.write("\n")
@@ -194,10 +169,7 @@ def _mean_rows(rows: list[dict]) -> list[dict]:
     for row in rows:
         base = _REP_SUFFIX.sub("", str(row["run_id"]))
         groups.setdefault(base, []).append(row)
-    numeric = [
-        "final_acc", "final_loss",
-        "mean_agg_time_s", "mean_train_time_s", "mean_comm_time_s",
-    ]
+    _, *averaged = summarize_rounds([])  # every statistic but the round count
     means = []
     for base, members in sorted(groups.items()):
         if len(members) < 2:
@@ -205,7 +177,7 @@ def _mean_rows(rows: list[dict]) -> list[dict]:
         mean_row = dict(members[0])
         mean_row["run_id"] = base
         mean_row["replicate"] = "mean"
-        for col in numeric:
+        for col in averaged:
             values = [m[col] for m in members if m[col] is not None]
             mean_row[col] = sum(values) / len(values) if values else None
         means.append(mean_row)

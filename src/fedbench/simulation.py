@@ -59,9 +59,12 @@ def replica_seed(base_seed: int, replicate: int) -> int:
 
 @dataclass
 class RoundMetrics:
+    """One round's outputs. The field names are the run.json round keys and,
+    clip_norm aside, the rounds.csv columns."""
+
     round: int
-    centralized_accuracy: float
-    centralized_loss: float
+    acc: float  # centralized accuracy
+    loss: float  # centralized loss
     agg_time_s: float
     train_time_s: float
     comm_time_s: float
@@ -110,11 +113,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"experiment.{name} must be >= 1, got {value}")
-        if self.partition.num_clients != self.num_clients:
-            raise ConfigError(
-                f"partition.num_clients ({self.partition.num_clients}) disagrees "
-                f"with experiment.num_clients ({self.num_clients})"
-            )
         self.partition.validate()
         self.local.validate()
         self.strategy.validate()
@@ -272,8 +270,8 @@ def run_round(
         raise NumericError(f"evaluation produced a non-finite loss in round {round_idx}")
     metrics = RoundMetrics(
         round=round_idx,
-        centralized_accuracy=acc,
-        centralized_loss=loss,
+        acc=acc,
+        loss=loss,
         agg_time_s=agg_time,
         train_time_s=train_time,
         comm_time_s=comm_time,
@@ -318,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     labels = train.labels[rows]
     shards = [
         ClientShard(k, train.features[rows[idx]], labels[idx])
-        for k, idx in enumerate(partition(labels, pspec).assignments)
+        for k, idx in enumerate(partition(labels, pspec, cfg.num_clients).assignments)
     ]
 
     resolved = replace(cfg, model=model, partition=pspec)

@@ -66,7 +66,7 @@ def baseline_config(**overrides):
     """10 clients, 25 rounds, MLP 784-128-10, client Adam lr=0.001, 10k subset."""
     base = dict(
         dataset=DATASET,
-        partition=PartitionSpec(mode="iid", num_clients=10, alpha=0.5),
+        partition=PartitionSpec(mode="iid", alpha=0.5),
         model=ModelSpec(784, [128], 10),
         local=LocalOptimizerConfig(kind="adam", learning_rate=0.001,
                                    batch_size=32, local_epochs=1),
@@ -77,13 +77,11 @@ def baseline_config(**overrides):
         train_subset=10_000,
     )
     base.update(overrides)
-    cfg = ExperimentConfig(**base)
-    cfg.partition.num_clients = cfg.num_clients
-    return cfg
+    return ExperimentConfig(**base)
 
 
 def final_acc(result):
-    return result.metrics[-1].centralized_accuracy
+    return result.metrics[-1].acc
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +106,7 @@ def dirichlet_runs():
             run_experiment(
                 baseline_config(
                     master_seed=seed,
-                    partition=PartitionSpec(mode="dirichlet", num_clients=10,
-                                            alpha=alpha),
+                    partition=PartitionSpec(mode="dirichlet", alpha=alpha),
                 )
             )
             for seed in SEEDS
@@ -128,7 +125,7 @@ def scale_up_runs():
                 baseline_config(
                     rounds=50,
                     num_clients=20,
-                    partition=PartitionSpec(mode=mode, num_clients=20, alpha=0.5),
+                    partition=PartitionSpec(mode=mode, alpha=0.5),
                     strategy=StrategyConfig(kind=kind),
                 )
             )
@@ -146,9 +143,9 @@ def test_criterion_1_baseline_accuracy(baseline_runs):
     # Metric sanity on the baseline: finite loss, accuracy off the floor
     # after round 5.
     for m in results[0].metrics:
-        assert math.isfinite(m.centralized_loss)
+        assert math.isfinite(m.loss)
         if m.round > 5:
-            assert m.centralized_accuracy >= 1.0 / 10 - 0.05
+            assert m.acc >= 1.0 / 10 - 0.05
 
 
 def test_criterion_2_heterogeneity_degradation(baseline_runs, dirichlet_runs):
@@ -299,21 +296,21 @@ def test_criterion_8_partition_properties():
     rng = np.random.default_rng(8)
     ds = balanced_dataset(10, 60)
     for _ in range(100):
+        mode = "iid" if rng.random() < 0.5 else "dirichlet"
+        num_clients = int(rng.integers(1, 20))
         spec = PSpec(
-            mode="iid" if rng.random() < 0.5 else "dirichlet",
-            num_clients=int(rng.integers(1, 20)),
+            mode=mode,
             alpha=float(10 ** rng.uniform(-1.5, 2.5)),
             seed=int(rng.integers(0, 2**32)),
         )
-        part = partition(ds.labels, spec)
+        part = partition(ds.labels, spec, num_clients)
         part.check_disjoint_cover(len(ds))
 
     means = {}
     for alpha in (0.1, 0.5, 100.0):
         skews = [
             client_label_skew(
-                partition(ds.labels, PSpec(mode="dirichlet", num_clients=10,
-                                           alpha=alpha, seed=seed)),
+                partition(ds.labels, PSpec(mode="dirichlet", alpha=alpha, seed=seed), 10),
                 ds.labels, 10,
             )
             for seed in range(20)
@@ -362,7 +359,7 @@ def test_criterion_10_determinism_and_export(tmp_path, scale_up_runs):
         synthetic=SyntheticSpec(num_classes=5, train_per_class=80,
                                 test_per_class=20, input_dim=20, seed=4),
         model=ModelSpec(20, [16], 5),
-        partition=PartitionSpec(mode="dirichlet", num_clients=5, alpha=0.5),
+        partition=PartitionSpec(mode="dirichlet", alpha=0.5),
         num_clients=5,
         rounds=5,
         master_seed=77,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedbench.cli import main
-from fedbench.simulation import _TAG_MODEL_INIT, _TAG_PARTITION, derived_seed
+from fedbench.simulation import _TAG_MODEL_INIT, _TAG_PARTITION, derived_seed, run_experiment
 
 TINY = """
 [experiment]
@@ -132,6 +132,32 @@ def test_corrupt_dataset_file_fails_only_its_run(damage, tmp_path, capsys):
     assert f"  fedavg_mnist_iid_rep0: FAILED: {train_images}: {reason}" in out
     with open(out_dir / "summary.csv", newline="") as fh:
         assert [r["run_id"] for r in csv.DictReader(fh)] == ["fedavg_synthetic_iid_rep0"]
+
+
+def test_unexpected_error_fails_only_its_run(tmp_path, capsys, monkeypatch):
+    # Any exception, not only a FedbenchError, fails just the run that raised it.
+    calls = []
+
+    def second_run_raises(cfg):
+        calls.append(cfg)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return run_experiment(cfg)
+
+    monkeypatch.setattr("fedbench.cli.run_experiment", second_run_raises)
+    path = tmp_path / "exp.ini"
+    path.write_text(TINY.replace("mode = iid", "mode = iid, dirichlet"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert len(calls) == 4
+    captured = capsys.readouterr()
+    assert "  fedmedian_synthetic_iid_rep0: FAILED: RuntimeError: boom\n" in captured.out
+    assert "Traceback" in captured.err
+    with open(out_dir / "summary.csv", newline="") as fh:
+        assert [r["run_id"] for r in csv.DictReader(fh)] == [
+            "fedavg_synthetic_dirichlet_a0.5_rep0", "fedavg_synthetic_iid_rep0",
+            "fedmedian_synthetic_dirichlet_a0.5_rep0",
+        ]
 
 
 def test_run_grid_with_replicas(config_path, tmp_path):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from fedbench import ConfigError, config_from_dict, config_to_dict, parse_config
-from fedbench.config import _SECTIONS, run_id_for
+from fedbench.config import _SECTIONS, run_id_for, run_identity
 from fedbench.data import DATASET_NAMES, dataset_shape
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,6 +193,8 @@ class TestRunIds:
         assert run_id_for(cfg, 0) == "fedavg_synthmnist_dirichlet_a0.5_rep0"
         cfg.partition.mode = "iid"
         assert run_id_for(cfg, 2) == "fedavg_synthmnist_iid_rep2"
+        assert run_identity(cfg) == {"strategy": "fedavg", "dataset": "synthmnist",
+                                     "partition_mode": "iid", "alpha": None}
 
 
 class TestSnapshot:
@@ -204,6 +206,15 @@ class TestSnapshot:
     def test_round_trip_through_json(self, tmp_path):
         (cfg,) = parse_config(write(tmp_path, BASELINE + "\n[adversary]\nkind = scale\nclients = 1\n"))
         snapshot = json.loads(json.dumps(config_to_dict(cfg)))
+        assert config_from_dict(snapshot) == cfg
+
+    def test_snapshot_with_removed_keys_loads(self, tmp_path):
+        # Snapshots from before partition.num_clients and model.activation
+        # were deleted still load; the stale keys are ignored.
+        (cfg,) = parse_config(write(tmp_path, BASELINE))
+        snapshot = config_to_dict(cfg)
+        snapshot["partition"]["num_clients"] = cfg.num_clients
+        snapshot["model"]["activation"] = "relu"
         assert config_from_dict(snapshot) == cfg
 
     def test_shipped_configs_round_trip(self):

@@ -304,13 +304,12 @@ class TestSplitCache:
     def test_warm_cache_run_equals_cold_run(self, generations):
         cfg = ExperimentConfig(
             dataset="synthetic", synthetic=SMALL, rounds=2, num_clients=3,
-            partition=PartitionSpec(mode="dirichlet", num_clients=3, alpha=0.5),
+            partition=PartitionSpec(mode="dirichlet", alpha=0.5),
             model=ModelSpec(6, [8], 3), local=LocalOptimizerConfig(learning_rate=0.01),
         )
         cold = run_experiment(cfg)
         warm = run_experiment(cfg)
         assert len(generations) == 1
-        learning = [[(r.centralized_accuracy, r.centralized_loss) for r in res.metrics]
-                    for res in (cold, warm)]
+        learning = [[(r.acc, r.loss) for r in res.metrics] for res in (cold, warm)]
         assert learning[0] == learning[1]
         assert np.array_equal(cold.final_params, warm.final_params)

@@ -43,13 +43,13 @@ GOLDEN_ALPHA05_SEED42 = np.array([
 class TestIid:
     def test_equal_split(self):
         ds = balanced_dataset(10, 10)  # 100 samples
-        part = partition(ds.labels, PartitionSpec(mode="iid", num_clients=10, seed=0))
+        part = partition(ds.labels, PartitionSpec(mode="iid", seed=0), 10)
         assert part.sizes() == [10] * 10
         part.check_disjoint_cover(100)
 
     def test_near_equal_when_not_divisible(self):
         ds = balanced_dataset(5, 21)  # 105 samples over 10 clients
-        part = partition(ds.labels, PartitionSpec(mode="iid", num_clients=10, seed=1))
+        part = partition(ds.labels, PartitionSpec(mode="iid", seed=1), 10)
         sizes = part.sizes()
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 105
@@ -58,16 +58,14 @@ class TestIid:
 class TestDirichlet:
     def test_huge_alpha_is_near_uniform(self):
         ds = balanced_dataset(10, 100)  # 1000 samples
-        spec = PartitionSpec(mode="dirichlet", num_clients=10, alpha=1e6, seed=3)
-        part = partition(ds.labels, spec)
+        part = partition(ds.labels, PartitionSpec(mode="dirichlet", alpha=1e6, seed=3), 10)
         counts = part.class_counts(ds.labels, 10)
         proportions = counts / counts.sum(axis=1, keepdims=True)
         assert np.max(np.abs(proportions - 0.1)) < 0.02
 
     def test_golden_fixture(self):
         ds = balanced_dataset(10, 6000)
-        spec = PartitionSpec(mode="dirichlet", num_clients=10, alpha=0.5, seed=42)
-        part = partition(ds.labels, spec)
+        part = partition(ds.labels, PartitionSpec(mode="dirichlet", alpha=0.5, seed=42), 10)
         counts = part.class_counts(ds.labels, 10)
         assert np.array_equal(counts, GOLDEN_ALPHA05_SEED42)
         # Skew sanity the fixture was audited for.
@@ -80,18 +78,16 @@ class TestDirichlet:
         for alpha in (0.1, 0.5, 100.0):
             skews = []
             for seed in range(20):
-                spec = PartitionSpec(
-                    mode="dirichlet", num_clients=10, alpha=alpha, seed=seed
-                )
-                part = partition(ds.labels, spec)
+                spec = PartitionSpec(mode="dirichlet", alpha=alpha, seed=seed)
+                part = partition(ds.labels, spec, 10)
                 skews.append(client_label_skew(part, ds.labels, 10))
             means[alpha] = float(np.mean(skews))
         assert means[0.1] > means[0.5] > means[100.0]
 
     def test_every_client_nonempty_under_extreme_skew(self):
         ds = balanced_dataset(2, 10)  # 20 samples, extreme alpha
-        spec = PartitionSpec(mode="dirichlet", num_clients=10, alpha=0.01, seed=5)
-        part = partition(ds.labels, spec)
+        spec = PartitionSpec(mode="dirichlet", alpha=0.01, seed=5)
+        part = partition(ds.labels, spec, 10)
         assert min(part.sizes()) >= 1
         part.check_disjoint_cover(20)
 
@@ -102,21 +98,21 @@ class TestInvariants:
         ds = balanced_dataset(7, 40)  # 280 samples
         for _ in range(100):
             mode = "iid" if rng.random() < 0.5 else "dirichlet"
+            num_clients = int(rng.integers(1, 15))
             spec = PartitionSpec(
                 mode=mode,
-                num_clients=int(rng.integers(1, 15)),
                 alpha=float(10 ** rng.uniform(-1.5, 2)),
                 seed=int(rng.integers(0, 2**32)),
             )
-            part = partition(ds.labels, spec)
+            part = partition(ds.labels, spec, num_clients)
             part.check_disjoint_cover(280)
             assert min(part.sizes()) >= 1
 
     def test_deterministic(self):
         ds = balanced_dataset(4, 25)
-        spec = PartitionSpec(mode="dirichlet", num_clients=6, alpha=0.3, seed=9)
-        a = partition(ds.labels, spec)
-        b = partition(ds.labels, spec)
+        spec = PartitionSpec(mode="dirichlet", alpha=0.3, seed=9)
+        a = partition(ds.labels, spec, 6)
+        b = partition(ds.labels, spec, 6)
         for x, y in zip(a.assignments, b.assignments):
             assert np.array_equal(x, y)
 
@@ -125,20 +121,22 @@ class TestErrors:
     def test_more_clients_than_samples(self):
         ds = balanced_dataset(2, 2)
         with pytest.raises(ConfigError, match="at least one"):
-            partition(ds.labels, PartitionSpec(mode="iid", num_clients=5, seed=0))
+            partition(ds.labels, PartitionSpec(mode="iid", seed=0), 5)
+        with pytest.raises(ConfigError, match="cannot give 0 clients"):
+            partition(ds.labels, PartitionSpec(mode="iid", seed=0), 0)
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
-            PartitionSpec(mode="sorted", num_clients=2).validate()
+            PartitionSpec(mode="sorted").validate()
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigError, match="alpha"):
-            PartitionSpec(mode="dirichlet", num_clients=2, alpha=0.0).validate()
+            PartitionSpec(mode="dirichlet", alpha=0.0).validate()
 
     def test_empty_dataset(self):
         ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), "empty", 1)
         with pytest.raises(ConfigError):
-            partition(ds.labels, PartitionSpec(mode="iid", num_clients=1, seed=0))
+            partition(ds.labels, PartitionSpec(mode="iid", seed=0), 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -150,6 +148,5 @@ class TestErrors:
     )
     def test_negative_label_rejected(self, labels, mode, num_clients):
         labels = np.array(labels, dtype=np.int64)
-        spec = PartitionSpec(mode=mode, num_clients=num_clients, seed=0)
         with pytest.raises(ConfigError, match=f"got {labels.min()}$"):
-            partition(labels, spec)
+            partition(labels, PartitionSpec(mode=mode, seed=0), num_clients)

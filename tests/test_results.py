@@ -28,7 +28,23 @@ from fedbench import (
     write_summary,
 )
 from fedbench.config import run_id_for
-from fedbench.results import ROUNDS_COLUMNS, SUMMARY_COLUMNS, _fmt, summarize_rounds
+from fedbench.results import _fmt, summarize_rounds
+
+# The output formats, written out: the columns derive from RoundMetrics and
+# summarize_rounds, so a renamed field must show up here as a format change.
+ROUNDS_HEADER = ["run_id", "strategy", "dataset", "partition_mode", "alpha",
+                 "round", "acc", "loss", "agg_time_s", "train_time_s", "comm_time_s"]
+SUMMARY_HEADER = ["run_id", "strategy", "dataset", "partition_mode", "alpha", "replicate",
+                  "rounds", "final_acc", "final_loss",
+                  "mean_agg_time_s", "mean_train_time_s", "mean_comm_time_s"]
+ROUND_KEYS = ["round", "acc", "loss", "agg_time_s", "train_time_s", "comm_time_s",
+              "clip_norm"]
+SUMMARY_KEYS = ["rounds", "final_acc", "final_loss",
+                "mean_agg_time_s", "mean_train_time_s", "mean_comm_time_s",
+                "run_id", "strategy", "dataset", "partition_mode", "alpha", "replicate"]
+METADATA_KEYS = {"fedbench_version", "numpy_version", "python_version", "blas", "thread_env",
+                 "rng", "train_size", "eval_size", "finished_at", "strategy_round_index",
+                 "strategy_clip_norm"}
 
 
 def small_config(**overrides):
@@ -36,7 +52,7 @@ def small_config(**overrides):
         dataset="synthetic",
         synthetic=SyntheticSpec(num_classes=3, train_per_class=40, test_per_class=15,
                                 input_dim=6, class_sep=6.0, seed=2),
-        partition=PartitionSpec(mode="dirichlet", num_clients=3, alpha=0.5),
+        partition=PartitionSpec(mode="dirichlet", alpha=0.5),
         model=ModelSpec(6, [8], 3),
         local=LocalOptimizerConfig(kind="adam", learning_rate=0.01),
         strategy=StrategyConfig(kind="fedavgm"),
@@ -63,7 +79,7 @@ class TestRoundsCsv:
         cfg, _, _, run_dir = written_run
         with open(run_dir / "rounds.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ROUNDS_COLUMNS
+        assert rows[0] == ROUNDS_HEADER
         assert len(rows) == 1 + cfg.rounds
 
     def test_round_column_increases(self, written_run):
@@ -103,7 +119,7 @@ class TestSummary:
         *_, out_dir, _ = written_run
         with open(out_dir / "summary.csv", newline="") as fh:
             header = next(csv.reader(fh))
-        assert header == SUMMARY_COLUMNS
+        assert header == SUMMARY_HEADER
 
 
 class TestRunJson:
@@ -113,6 +129,13 @@ class TestRunJson:
         assert config_from_dict(payload["config"]) == result.config
         assert payload["metadata"]["rng"] == "numpy-pcg64"
         assert payload["metadata"]["train_size"] == 120
+
+    def test_key_order_and_metadata_keys(self, written_run):
+        *_, run_dir = written_run
+        payload = json.loads((run_dir / "run.json").read_text())
+        assert list(payload["rounds"][0]) == ROUND_KEYS
+        assert list(payload["summary"]) == SUMMARY_KEYS
+        assert set(payload["metadata"]) == METADATA_KEYS
 
     def test_state_npz_holds_final_params_and_buffers(self, written_run):
         _, result, _, run_dir = written_run
@@ -137,8 +160,9 @@ class TestRunJson:
             "mean_agg_time_s": None, "mean_train_time_s": None, "mean_comm_time_s": None,
         }
         assert "non-finite" in payload["metadata"]["aborted"]
+        assert set(payload["metadata"]) == METADATA_KEYS | {"aborted"}
         with open(run_dir / "rounds.csv", newline="") as fh:
-            assert list(csv.reader(fh)) == [ROUNDS_COLUMNS]
+            assert list(csv.reader(fh)) == [ROUNDS_HEADER]
         with pytest.raises(ConfigError, match="no completed runs"):
             write_summary(tmp_path)
 

@@ -26,6 +26,7 @@ from fedbench import (
     forward_loss_grad,
     init_model,
     load_dataset,
+    partition,
     run_experiment,
     run_round,
 )
@@ -38,7 +39,7 @@ def tiny_config(**overrides):
         dataset="synthetic",
         synthetic=SyntheticSpec(num_classes=3, train_per_class=60, test_per_class=20,
                                 input_dim=8, class_sep=6.0, seed=3),
-        partition=PartitionSpec(mode="iid", num_clients=4),
+        partition=PartitionSpec(mode="iid"),
         model=ModelSpec(8, [16], 3),
         local=LocalOptimizerConfig(kind="adam", learning_rate=0.01, local_epochs=2),
         strategy=StrategyConfig(kind="fedavg"),
@@ -110,7 +111,7 @@ class TestRunRound:
             master_seed=5, eval_features=eval_x, eval_labels=eval_y,
         )
         np.testing.assert_allclose(new_params, params, atol=1e-12)
-        assert abs(metrics.centralized_accuracy - acc_before) < 1e-12
+        assert abs(metrics.acc - acc_before) < 1e-12
 
     def test_all_clients_participate(self):
         spec, shards, eval_x, eval_y = self.setup_round(num_clients=5)
@@ -243,20 +244,14 @@ class TestRunExperiment:
     def test_metric_series_deterministic(self):
         a = run_experiment(tiny_config())
         b = run_experiment(tiny_config())
-        assert [m.centralized_accuracy for m in a.metrics] == [
-            m.centralized_accuracy for m in b.metrics
-        ]
-        assert [m.centralized_loss for m in a.metrics] == [
-            m.centralized_loss for m in b.metrics
-        ]
+        assert [m.acc for m in a.metrics] == [m.acc for m in b.metrics]
+        assert [m.loss for m in a.metrics] == [m.loss for m in b.metrics]
         assert np.array_equal(a.final_params, b.final_params)
 
     def test_different_seed_changes_series(self):
         a = run_experiment(tiny_config())
         b = run_experiment(tiny_config(master_seed=12))
-        assert [m.centralized_loss for m in a.metrics] != [
-            m.centralized_loss for m in b.metrics
-        ]
+        assert [m.loss for m in a.metrics] != [m.loss for m in b.metrics]
 
     def test_learns_separable_synthetic(self):
         # The dataset is linearly separable (central-training oracle covers it
@@ -264,7 +259,7 @@ class TestRunExperiment:
         cfg = tiny_config(
             rounds=10,
             num_clients=10,
-            partition=PartitionSpec(mode="iid", num_clients=10),
+            partition=PartitionSpec(mode="iid"),
             synthetic=SyntheticSpec(num_classes=3, train_per_class=120,
                                     test_per_class=40, input_dim=8,
                                     class_sep=6.0, seed=3),
@@ -272,7 +267,7 @@ class TestRunExperiment:
                                        local_epochs=5),
         )
         result = run_experiment(cfg)
-        assert result.metrics[-1].centralized_accuracy > 0.9
+        assert result.metrics[-1].acc > 0.9
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_midrun_numeric_failure_flushes_partial_metrics(self):
@@ -309,10 +304,8 @@ class TestRunExperiment:
         assert aborted.final_params.tobytes() == complete.final_params.tobytes()
         assert (aborted.strategy_state.momentum_buffer.tobytes()
                 == complete.strategy_state.momentum_buffer.tobytes())
-        learning = [(m.round, m.centralized_accuracy, m.centralized_loss) for m in aborted.metrics]
-        assert learning == [
-            (m.round, m.centralized_accuracy, m.centralized_loss) for m in complete.metrics
-        ]
+        learning = [(m.round, m.acc, m.loss) for m in aborted.metrics]
+        assert learning == [(m.round, m.acc, m.loss) for m in complete.metrics]
 
     def test_strategy_state_round_counter(self):
         result = run_experiment(tiny_config(rounds=3))
@@ -324,24 +317,28 @@ class TestRunExperiment:
         assert result.train_size == 50
         assert result.eval_size == 10
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_clients=st.integers(1, 6),
            mode=st.sampled_from(["iid", "dirichlet"]),
            alpha=st.sampled_from([0.05, 0.3, 1.0, 100.0]),
            train_subset=st.none() | st.integers(10, 179),
-           kind=st.sampled_from(["fedavg", "fedprox"]))
+           kind=st.sampled_from(["fedavg", "fedprox", "dp"]), epochs=st.integers(1, 3))
     def test_fedsgd_round_is_one_full_batch_gradient_step(
-        self, seed, num_clients, mode, alpha, train_subset, kind
+        self, seed, num_clients, mode, alpha, train_subset, kind, epochs
     ):
-        # One epoch of SGD on one batch per client, averaged with weights
-        # n_k / n, is one gradient step on the union of the shards (FedSGD).
-        # FedProx's pull is zero at the broadcast point, so it agrees.
+        # With one batch per client, each local epoch is one full-batch
+        # gradient step, so a client returns GD_k^E(w0). FedAvg averages
+        # those with weights n_k / n; at E = 1 that is one gradient step on
+        # the union of the shards (FedSGD). FedProx's pull is zero at the
+        # broadcast point, so it agrees at E = 1 only. dp without noise and
+        # with a clip above every delta norm is their uniform mean.
+        epochs = 1 if kind == "fedprox" else epochs
         cfg = tiny_config(
             rounds=1, num_clients=num_clients, master_seed=seed, train_subset=train_subset,
-            partition=PartitionSpec(mode=mode, num_clients=num_clients, alpha=alpha),
+            partition=PartitionSpec(mode=mode, alpha=alpha),
             local=LocalOptimizerConfig(kind="sgd", learning_rate=0.1, batch_size=180,
-                                       local_epochs=1),
-            strategy=StrategyConfig(kind=kind),
+                                       local_epochs=epochs),
+            strategy=StrategyConfig(kind=kind, dp_noise_multiplier=0.0, dp_initial_clip=1e6),
         )
         result = run_experiment(cfg)
         train, _ = load_dataset("synthetic", synthetic=cfg.synthetic)
@@ -349,11 +346,27 @@ class TestRunExperiment:
         rows = np.arange(n)
         if train_subset is not None and train_subset < n:
             rows = derived_rng(seed, _TAG_SUBSET, 0).permutation(n)[:train_subset]
-        w0 = init_model(result.config.model)
-        _, grad = forward_loss_grad(w0, result.config.model,
-                                    train.features[rows], train.labels[rows])
+        model = result.config.model
+        w0 = init_model(model)
+        shards = partition(train.labels[rows], result.config.partition, num_clients).assignments
+        clients = []
+        for idx in shards:
+            w = w0.copy()
+            for _ in range(epochs):
+                _, grad = forward_loss_grad(w, model, train.features[rows[idx]],
+                                            train.labels[rows[idx]])
+                w -= 0.1 * grad
+            clients.append(w)
+        if kind == "dp":
+            weights = [1 / num_clients] * num_clients
+        else:
+            weights = [len(idx) / len(rows) for idx in shards]
+        expected = w0 + sum(wk * (w - w0) for wk, w in zip(weights, clients))
         assert result.train_size == len(rows)
-        np.testing.assert_allclose(result.final_params, w0 - 0.1 * grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.final_params, expected, rtol=0, atol=1e-12)
+        if epochs == 1 and kind != "dp":
+            _, grad = forward_loss_grad(w0, model, train.features[rows], train.labels[rows])
+            np.testing.assert_allclose(result.final_params, w0 - 0.1 * grad, rtol=0, atol=1e-12)
 
     def test_caller_config_left_unchanged(self):
         cfg = tiny_config(rounds=1)
@@ -400,11 +413,6 @@ class TestRunExperiment:
         ExperimentConfig().validate()  # the default model fits the default dataset
         with pytest.raises(ConfigError, match="unknown dataset 'nope'"):
             ExperimentConfig(dataset="nope").validate()
-
-    def test_num_clients_mismatch_rejected(self):
-        cfg = tiny_config(partition=PartitionSpec(mode="iid", num_clients=3))
-        with pytest.raises(ConfigError, match="num_clients"):
-            run_experiment(cfg)
 
 
 class TestReplicaSeeds:

@@ -47,7 +47,7 @@ def _config(kind: str, mode: str, adversary: AdversarySpec | None = None) -> Exp
         master_seed=3,
         train_subset=400,
         eval_subset=200,
-        partition=PartitionSpec(mode=mode, num_clients=5, alpha=0.5),
+        partition=PartitionSpec(mode=mode, alpha=0.5),
         model=ModelSpec(24, [32], 4),
         local=LocalOptimizerConfig(kind="adam", learning_rate=0.01, batch_size=32),
         strategy=StrategyConfig(kind=kind),
@@ -81,8 +81,8 @@ def record(cfg: ExperimentConfig) -> dict:
     state = result.strategy_state
     return {
         "config": config_to_dict(cfg),
-        "acc": [m.centralized_accuracy for m in result.metrics],
-        "loss": [m.centralized_loss for m in result.metrics],
+        "acc": [m.acc for m in result.metrics],
+        "loss": [m.loss for m in result.metrics],
         "clip_norm": [m.clip_norm for m in result.metrics],
         "params": {
             "size": int(params.size),
