@@ -77,6 +77,8 @@ def _execute_one(args: tuple[ExperimentConfig, str, int, str]) -> str | None:
     """Run one experiment and write its files; returns its error, or None."""
     cfg, run_id, replicate, out_dir = args
     try:
+        # A rerun that fails before writing must not leave an old record to summarize.
+        (Path(out_dir) / run_id / "run.json").unlink(missing_ok=True)
         write_results(run_experiment(cfg), run_id, out_dir, replicate)
     except ExperimentAborted as err:
         # Flush the rounds that completed before the failure.

@@ -236,6 +236,20 @@ def _class_means(
     return means
 
 
+def _permute_rows(a: Array, src: Array) -> None:
+    """Reorder a's rows in place, row i becoming old row src[i], one cycle at a time."""
+    src, row = src.tolist(), np.empty(a.shape[1], a.dtype)
+    for start in range(len(src)):
+        if src[start] < 0:  # already moved, as part of an earlier cycle
+            continue
+        row[:] = a[start]
+        i = start
+        while src[i] != start:
+            a[i] = a[src[i]]
+            src[i], i = -1, src[i]
+        a[i], src[i] = row, -1
+
+
 def generate_synthetic(
     spec: SyntheticSpec, name: str = "synthetic"
 ) -> tuple[Dataset, Dataset]:
@@ -244,31 +258,35 @@ def generate_synthetic(
     Means sit on a scaled simplex so the classes are linearly separable;
     the affine rescale to [0, 1] preserves separability. One draw covers
     train + test; each class's first train_per_class rows (in shuffled
-    order) are its training rows.
+    order) are its training rows. Train and test are row slices of one buffer.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     means = _class_means(spec.num_classes, spec.input_dim, spec.class_sep, rng)
     per_class = spec.train_per_class + spec.test_per_class
     n = spec.num_classes * per_class
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
-    features = means[labels] + rng.standard_normal((n, spec.input_dim))
+    features = rng.standard_normal((n, spec.input_dim))
+    for c in range(spec.num_classes):  # rows are in class order until permuted
+        features[c * per_class : (c + 1) * per_class] += means[c]
     order = rng.permutation(n)
-    features, labels = features[order], labels[order]
+    labels = order // per_class
 
     # Truncate noise tails at 2 sigma beyond the mean range before rescaling,
     # so the [0, 1] dynamic range is carried by class structure rather than
     # rare extremes (as in image data, where many pixels saturate).
-    features = np.clip(features, means.min() - _NOISE_TRUNCATION,
-                       means.max() + _NOISE_TRUNCATION)
+    np.clip(features, means.min() - _NOISE_TRUNCATION, means.max() + _NOISE_TRUNCATION,
+            out=features)
     lo, hi = features.min(), features.max()
-    features = (features - lo) / (hi - lo)
+    features -= lo
+    features /= hi - lo
 
     train_mask = np.zeros(n, dtype=bool)
     for c in range(spec.num_classes):
         train_mask[np.flatnonzero(labels == c)[: spec.train_per_class]] = True
-    train = Dataset(features[train_mask], labels[train_mask], name, spec.num_classes)
-    test = Dataset(features[~train_mask], labels[~train_mask], name, spec.num_classes)
+    train_rows, test_rows = np.flatnonzero(train_mask), np.flatnonzero(~train_mask)
+    _permute_rows(features, order[np.concatenate([train_rows, test_rows])])
+    train = Dataset(features[: len(train_rows)], labels[train_rows], name, spec.num_classes)
+    test = Dataset(features[len(train_rows) :], labels[test_rows], name, spec.num_classes)
     train.validate()
     test.validate()
     return train, test

@@ -72,15 +72,26 @@ class RoundMetrics:
 
 
 @dataclass
-class ClientShard:
-    """One client's slice of the training data."""
+class RowView:
+    """Rows of base picked by index, read-only: view[idx] gathers base[rows[idx]]."""
 
-    client_id: int
-    features: Array
-    labels: Array
+    base: Array
+    rows: Array
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return len(self.rows)
+
+    def __getitem__(self, idx) -> Array:
+        return self.base[self.rows[idx]]
+
+
+@dataclass
+class ClientShard:
+    """One client's slice of the training data (features may be a RowView)."""
+
+    client_id: int
+    features: Array | RowView
+    labels: Array
 
 
 @dataclass
@@ -140,7 +151,7 @@ class ExperimentResult:
 def train_local(
     params: Array,
     spec: ModelSpec,
-    features: Array,
+    features: Array | RowView,
     labels: Array,
     cfg: LocalOptimizerConfig,
     rng: np.random.Generator,
@@ -158,7 +169,7 @@ def train_local(
     state = init_opt_state(cfg, params.shape[0])
     grad = np.empty_like(params)
     pull = np.empty_like(params) if prox_mu > 0.0 else None
-    n = features.shape[0]
+    n = len(features)
     for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -197,7 +208,7 @@ def _transfer(params: Array) -> tuple[Array, float]:
     """Simulated transfer of one parameter vector: serialize, deserialize.
     Returns the received copy and the seconds it took."""
     t0 = time.perf_counter()
-    received = np.frombuffer(params.tobytes(), dtype=np.float64).copy()
+    received = np.frombuffer(params.tobytes(), dtype=params.dtype).copy()
     return received, time.perf_counter() - t0
 
 
@@ -246,7 +257,7 @@ def run_round(
             raise NumericError(
                 f"client {shard.client_id} produced non-finite parameters in round {round_idx}"
             )
-        update = ClientUpdate(shard.client_id, new_params=received, num_samples=len(shard))
+        update = ClientUpdate(shard.client_id, new_params=received, num_samples=len(shard.labels))
         if attacked:
             update = corrupt(
                 update, adversary, global_params,
@@ -312,10 +323,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     pspec = replace(cfg.partition)
     if pspec.seed is None:
         pspec.seed = derived_seed(cfg.master_seed, _TAG_PARTITION)
-    # Each client's rows are copied once, straight from the loaded split.
+    # Clients index the loaded split; only their labels are copied.
     labels = train.labels[rows]
     shards = [
-        ClientShard(k, train.features[rows[idx]], labels[idx])
+        ClientShard(k, RowView(train.features, rows[idx]), labels[idx])
         for k, idx in enumerate(partition(labels, pspec, cfg.num_clients).assignments)
     ]
 

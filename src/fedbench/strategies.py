@@ -121,7 +121,8 @@ def _median(global_params, updates, state, cfg, rng):
     """Unweighted coordinate-wise median of the client models, applied as a
     delta to w_t; even client counts average the two middle values. Equal
     to np.median, NaN columns included, from one sort instead of a partition."""
-    s = np.sort(np.stack([u.new_params for u in updates]), axis=0)
+    s = np.stack([u.new_params for u in updates])
+    s.sort(axis=0)  # in place: no second K x P copy
     k = len(updates)
     mid = s[k // 2] if k % 2 else (s[k // 2 - 1] + s[k // 2]) / 2
     np.copyto(mid, np.nan, where=np.isnan(s[-1]))  # the sort puts NaNs last

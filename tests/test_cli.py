@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fedbench.cli import main
+from fedbench.errors import FedbenchError
 from fedbench.simulation import _TAG_MODEL_INIT, _TAG_PARTITION, derived_seed, run_experiment
 
 TINY = """
@@ -329,6 +330,23 @@ def test_failed_rerun_leaves_no_stale_summary(tmp_path, capsys):
     assert main(["run", "--config", str(explodes), "--out", str(out_dir)]) == 2
     assert "non-finite" in capsys.readouterr().err
     # No completed run is left, so there is no summary, as summarize agrees.
+    assert not (out_dir / "summary.csv").exists()
+    assert main(["summarize", str(out_dir)]) == 1
+
+
+def test_rerun_failing_before_writing_leaves_no_stale_summary(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "exp.ini"
+    path.write_text(TINY.replace("kind = fedavg, fedmedian", "kind = fedavg"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+
+    def unreadable(cfg):
+        raise FedbenchError("dataset unreadable")
+
+    # The rerun fails before it writes anything of its own.
+    monkeypatch.setattr("fedbench.cli.run_experiment", unreadable)
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert "  fedavg_synthetic_iid_rep0: FAILED: dataset unreadable\n" in capsys.readouterr().out
     assert not (out_dir / "summary.csv").exists()
     assert main(["summarize", str(out_dir)]) == 1
 

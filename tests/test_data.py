@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,14 @@ from fedbench import (
     run_experiment,
     train_local,
 )
-from fedbench.data import SYNTH_MNIST, SyntheticSpec, dataset_shape
+from fedbench.data import (
+    _NOISE_TRUNCATION,
+    SYNTH_MNIST,
+    Dataset,
+    SyntheticSpec,
+    _class_means,
+    dataset_shape,
+)
 from fedbench.simulation import evaluate_centralized
 
 
@@ -151,7 +159,69 @@ class TestCifar:
             load_cifar10(tmp_path, "train")
 
 
+def reference_generate_synthetic(spec, name="synthetic"):
+    """The generator as an out-of-place chain of full-size arrays: gather the
+    class means, add the noise, shuffle, clip, rescale, mask."""
+    rng = np.random.default_rng(spec.seed)
+    means = _class_means(spec.num_classes, spec.input_dim, spec.class_sep, rng)
+    per_class = spec.train_per_class + spec.test_per_class
+    n = spec.num_classes * per_class
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), per_class)
+    features = means[labels] + rng.standard_normal((n, spec.input_dim))
+    order = rng.permutation(n)
+    features, labels = features[order], labels[order]
+    features = np.clip(features, means.min() - _NOISE_TRUNCATION,
+                       means.max() + _NOISE_TRUNCATION)
+    lo, hi = features.min(), features.max()
+    features = (features - lo) / (hi - lo)
+    train_mask = np.zeros(n, dtype=bool)
+    for c in range(spec.num_classes):
+        train_mask[np.flatnonzero(labels == c)[: spec.train_per_class]] = True
+    return (Dataset(features[train_mask], labels[train_mask], name, spec.num_classes),
+            Dataset(features[~train_mask], labels[~train_mask], name, spec.num_classes))
+
+
+def assert_same_split(actual, expected):
+    for a, e in zip(actual, expected, strict=True):
+        for got, want in ((a.features, e.features), (a.labels, e.labels)):
+            assert got.dtype == want.dtype
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+
+
 class TestSynthetic:
+    @settings(max_examples=60, deadline=None)
+    @given(st.builds(
+        SyntheticSpec,
+        num_classes=st.integers(2, 7),
+        train_per_class=st.integers(1, 9),
+        test_per_class=st.integers(1, 5),
+        input_dim=st.integers(1, 14),
+        class_sep=st.floats(0.1, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    ))
+    def test_in_place_draw_equals_reference(self, spec):
+        assert_same_split(generate_synthetic(spec), reference_generate_synthetic(spec))
+
+    def test_synthmnist_equals_reference(self):
+        assert_same_split(generate_synthetic(SYNTH_MNIST, "synthmnist"),
+                          reference_generate_synthetic(SYNTH_MNIST, "synthmnist"))
+
+    def test_split_is_one_buffer(self):
+        train, test = generate_synthetic(SyntheticSpec(3, 10, 4, 5, seed=1))
+        assert train.features.base is test.features.base is not None
+
+    def test_synthmnist_peak_memory_is_the_split(self):
+        # numpy reports its data buffers to tracemalloc.
+        tracemalloc.start()
+        try:
+            split = generate_synthetic(SYNTH_MNIST, "synthmnist")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        split_bytes = sum(ds.features.nbytes + ds.labels.nbytes for ds in split)
+        assert peak <= 1.1 * split_bytes
+
     def test_counts_and_balance(self):
         ds, _ = generate_synthetic(SyntheticSpec(3, 10, 1, 2, seed=1))
         assert len(ds) == 30

@@ -3,6 +3,7 @@
 import copy
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,14 @@ from fedbench import (
     run_round,
 )
 import fedbench.simulation
-from fedbench.simulation import _TAG_SUBSET, derived_rng, replica_seed
+from fedbench.simulation import (
+    _TAG_SUBSET,
+    RowView,
+    _transfer,
+    derived_rng,
+    replica_seed,
+    train_local,
+)
 
 
 def tiny_config(**overrides):
@@ -234,6 +242,53 @@ class TestEvaluate:
         spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=2)
         with pytest.raises(ConfigError):
             evaluate_centralized(np.zeros(6), spec, np.zeros((0, 2)), np.zeros(0))
+
+
+class TestClientRows:
+    def test_training_on_a_row_view_equals_training_on_a_copy(self):
+        rng = np.random.default_rng(5)
+        spec = ModelSpec(input_dim=6, hidden_dims=[5], output_classes=3, init_seed=1)
+        base, rows = rng.uniform(size=(40, 6)), rng.permutation(40)[:25]
+        labels = rng.integers(0, 3, size=25)
+        shard = ClientShard(0, RowView(base, rows), labels)
+        assert len(shard.features) == 25
+        params = init_model(spec)
+        cfg = LocalOptimizerConfig(kind="adam", learning_rate=0.01, batch_size=4)
+        trained = [
+            train_local(params, spec, features, labels, cfg, np.random.default_rng(0))
+            for features in (shard.features, base[rows])
+        ]
+        assert np.array_equal(*trained)
+
+    def test_shards_do_not_copy_the_cached_split(self, monkeypatch):
+        train, _ = load_dataset("synthmnist")  # the split is cached from here on
+        built = []
+
+        class Built(Exception):
+            pass
+
+        def stop_before_round_1(global_params, clients, *args, **kwargs):
+            built.extend(clients)
+            raise Built
+
+        monkeypatch.setattr(fedbench.simulation, "run_round", stop_before_round_1)
+        cfg = ExperimentConfig(dataset="synthmnist", num_clients=10, train_subset=10000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Built):
+                run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(shard.features) for shard in built) == 10000
+        shard_copy_bytes = 10000 * train.features.shape[1] * train.features.itemsize
+        assert peak < shard_copy_bytes / 10  # 63 MB when each client copies its rows
+
+    def test_transfer_keeps_the_dtype(self):
+        params = np.linspace(-1.0, 1.0, 7, dtype=np.float32)
+        received, seconds = _transfer(params)
+        assert received.dtype == np.float32 and received is not params
+        assert np.array_equal(received, params) and seconds >= 0
 
 
 class TestRunExperiment:
