@@ -1,18 +1,14 @@
 """fedbench: desk-scale federated learning simulator for comparing server
-aggregation strategies under IID and Dirichlet-skewed data."""
+aggregation strategies under IID and Dirichlet-skewed data.
+
+The package exports what building, running, aggregating and writing an
+experiment needs; everything else is imported from its module."""
 
 # Defined before the submodule imports: results reads it.
 __version__ = "0.1.0"
 
-from .adversary import AdversarySpec, corrupt
-from .data import (
-    Dataset,
-    SyntheticSpec,
-    generate_synthetic,
-    load_cifar10,
-    load_dataset,
-    load_idx_dataset,
-)
+from .adversary import AdversarySpec
+from .data import SyntheticSpec
 from .errors import (
     ConfigError,
     ExperimentAborted,
@@ -22,33 +18,9 @@ from .errors import (
     ProtocolError,
     ShapeError,
 )
-from .model import (
-    LocalOptimizerConfig,
-    ModelSpec,
-    forward_logits,
-    forward_loss_grad,
-    init_model,
-    local_adam_step,
-    local_sgd_step,
-)
-from .partition import Partition, PartitionSpec, client_label_skew, partition
-from .simulation import (
-    ClientShard,
-    ExperimentConfig,
-    ExperimentResult,
-    RoundMetrics,
-    evaluate_centralized,
-    run_experiment,
-    run_round,
-    train_local,
-)
-from .strategies import (
-    ClientUpdate,
-    Strategy,
-    StrategyConfig,
-    StrategyState,
-    dp_clip,
-    pseudo_gradient,
-)
-from .config import config_from_dict, config_to_dict, parse_config, run_id_for
+from .model import LocalOptimizerConfig, ModelSpec
+from .partition import PartitionSpec
+from .simulation import ExperimentConfig, ExperimentResult, RoundMetrics, run_experiment
+from .strategies import ClientUpdate, Strategy, StrategyConfig, StrategyState
+from .config import parse_config
 from .results import write_results, write_summary

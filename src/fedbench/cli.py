@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import shutil
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -76,9 +77,11 @@ def _expand_runs(
 def _execute_one(args: tuple[ExperimentConfig, str, int, str]) -> str | None:
     """Run one experiment and write its files; returns its error, or None."""
     cfg, run_id, replicate, out_dir = args
+    run_dir = Path(out_dir) / run_id
     try:
-        # A rerun that fails before writing must not leave an old record to summarize.
-        (Path(out_dir) / run_id / "run.json").unlink(missing_ok=True)
+        # A rerun that fails before writing must leave none of an earlier run's files.
+        if run_dir.exists():
+            shutil.rmtree(run_dir)
         write_results(run_experiment(cfg), run_id, out_dir, replicate)
     except ExperimentAborted as err:
         # Flush the rounds that completed before the failure.

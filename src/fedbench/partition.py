@@ -3,7 +3,7 @@ Dirichlet label skew."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,33 +33,9 @@ class PartitionSpec:
             raise ConfigError(f"partition.alpha must be > 0, got {self.alpha}")
 
 
-@dataclass
-class Partition:
-    """Disjoint cover of {0..N-1} by per-client index lists."""
-
-    assignments: list[Array] = field(default_factory=list)
-
-    def sizes(self) -> list[int]:
-        return [len(a) for a in self.assignments]
-
-    def check_disjoint_cover(self, total: int) -> None:
-        merged = np.concatenate([np.asarray(a) for a in self.assignments])
-        if len(merged) != total or len(np.unique(merged)) != total:
-            raise ConfigError("partition is not a disjoint cover of the dataset")
-        if merged.min() != 0 or merged.max() != total - 1:
-            raise ConfigError("partition indices out of range")
-
-    def class_counts(self, labels: Array, num_classes: int) -> Array:
-        """(num_clients, num_classes) matrix of per-client label counts."""
-        counts = np.zeros((len(self.assignments), num_classes), dtype=np.int64)
-        for k, idx in enumerate(self.assignments):
-            counts[k] = np.bincount(labels[idx], minlength=num_classes)
-        return counts
-
-
-def partition(labels: Array, spec: PartitionSpec, num_clients: int) -> Partition:
+def partition(labels: Array, spec: PartitionSpec, num_clients: int) -> list[Array]:
     """Split the indices of a label vector across num_clients clients per the
-    spec; every client gets at least one sample."""
+    spec: one index array per client, each holding at least one sample."""
     spec.validate()
     n = len(labels)
     if n == 0:
@@ -72,15 +48,22 @@ def partition(labels: Array, spec: PartitionSpec, num_clients: int) -> Partition
     rng = np.random.default_rng(seed)
 
     if spec.mode == "iid":
-        order = rng.permutation(n)
-        assignments = [chunk for chunk in np.array_split(order, num_clients)]
+        assignments = np.array_split(rng.permutation(n), num_clients)
     else:
         assignments = _dirichlet_assignments(labels, spec.alpha, num_clients, rng)
 
     _repair_empty(assignments)
-    part = Partition(assignments=assignments)
-    part.check_disjoint_cover(n)
-    return part
+    _check_cover(assignments, n)
+    return assignments
+
+
+def _check_cover(assignments: list[Array], total: int) -> None:
+    """Raise unless the index arrays are a disjoint cover of {0..total-1}."""
+    merged = np.concatenate(assignments)
+    if len(merged) != total or len(np.unique(merged)) != total:
+        raise ConfigError("partition is not a disjoint cover of the dataset")
+    if merged.min() != 0 or merged.max() != total - 1:
+        raise ConfigError("partition indices out of range")
 
 
 def _dirichlet_assignments(
@@ -110,14 +93,3 @@ def _repair_empty(assignments: list[Array]) -> None:
         recipient = sizes.index(0)
         assignments[recipient] = assignments[donor][-1:]
         assignments[donor] = assignments[donor][:-1]
-
-
-def client_label_skew(
-    part: Partition, labels: Array, num_classes: int
-) -> float:
-    """Mean total-variation distance between client and global label
-    distributions; used by the heterogeneity monotonicity checks."""
-    global_dist = np.bincount(labels, minlength=num_classes) / len(labels)
-    counts = part.class_counts(labels, num_classes)
-    dists = counts / counts.sum(axis=1, keepdims=True)
-    return float(0.5 * np.abs(dists - global_dist).sum(axis=1).mean())

@@ -217,34 +217,32 @@ def run_round(
     clients: list[ClientShard],
     strategy: Strategy,
     round_idx: int,
-    *,
-    model: ModelSpec,
-    local: LocalOptimizerConfig,
-    master_seed: int,
+    cfg: ExperimentConfig,
     eval_features: Array,
     eval_labels: Array,
-    adversary: AdversarySpec | None = None,
 ) -> tuple[Array, RoundMetrics]:
     """Execute one communication round and measure the paper-style metrics.
 
-    Clients train one after another in the calling thread, so train_time_s
-    is the sum of the clients' broadcast-to-reply times (transfers included)
-    and comm_time_s the sum of their downlink and uplink transfer times.
+    cfg is the run's resolved config: it supplies the model, the client
+    optimizer, the master seed and the adversary. Clients train one after
+    another in the calling thread, so train_time_s is the sum of the clients'
+    broadcast-to-reply times (transfers included) and comm_time_s the sum of
+    their downlink and uplink transfer times.
     """
     if not clients:
         raise ConfigError("round needs at least one client")
 
     # Without an attack no adversary RNG is made: each derived_rng costs tens of µs.
-    attacked = adversary is not None and adversary.kind != "none"
+    attacked = cfg.adversary.kind != "none"
     updates = []
     train_time = comm_time = 0.0
     for shard in clients:
         start = time.perf_counter()
         local_params, down = _transfer(global_params)
-        rng = derived_rng(master_seed, round_idx, shard.client_id, _TAG_TRAIN)
+        rng = derived_rng(cfg.master_seed, round_idx, shard.client_id, _TAG_TRAIN)
         try:
-            trained = train_local(local_params, model, shard.features, shard.labels, local, rng,
-                                  prox_mu=strategy.client_prox_mu, prox_center=global_params)
+            trained = train_local(local_params, cfg.model, shard.features, shard.labels, cfg.local,
+                                  rng, prox_mu=strategy.client_prox_mu, prox_center=global_params)
         except NumericError as err:
             raise NumericError(
                 f"client {shard.client_id} failed in round {round_idx}: {err}"
@@ -260,23 +258,21 @@ def run_round(
         update = ClientUpdate(shard.client_id, new_params=received, num_samples=len(shard.labels))
         if attacked:
             update = corrupt(
-                update, adversary, global_params,
-                derived_rng(master_seed, round_idx, shard.client_id, _TAG_ADVERSARY),
+                update, cfg.adversary, global_params,
+                derived_rng(cfg.master_seed, round_idx, shard.client_id, _TAG_ADVERSARY),
             )
         updates.append(update)
 
     agg_start = time.perf_counter()
     new_params = strategy.aggregate(
-        global_params,
-        updates,
-        rng=derived_rng(master_seed, round_idx, _TAG_DP),
+        global_params, updates, rng=derived_rng(cfg.master_seed, round_idx, _TAG_DP)
     )
     agg_time = time.perf_counter() - agg_start
 
     if not np.all(np.isfinite(new_params)):
         raise NumericError(f"aggregation produced non-finite parameters in round {round_idx}")
 
-    acc, loss = evaluate_centralized(new_params, model, eval_features, eval_labels)
+    acc, loss = evaluate_centralized(new_params, cfg.model, eval_features, eval_labels)
     if not np.isfinite(loss):
         raise NumericError(f"evaluation produced a non-finite loss in round {round_idx}")
     metrics = RoundMetrics(
@@ -327,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     labels = train.labels[rows]
     shards = [
         ClientShard(k, RowView(train.features, rows[idx]), labels[idx])
-        for k, idx in enumerate(partition(labels, pspec, cfg.num_clients).assignments)
+        for k, idx in enumerate(partition(labels, pspec, cfg.num_clients))
     ]
 
     resolved = replace(cfg, model=model, partition=pspec)
@@ -346,16 +342,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for round_idx in range(1, cfg.rounds + 1):
         try:
             global_params, record = run_round(
-                global_params,
-                shards,
-                strategy,
-                round_idx,
-                model=model,
-                local=cfg.local,
-                master_seed=cfg.master_seed,
-                eval_features=eval_x,
-                eval_labels=eval_y,
-                adversary=cfg.adversary,
+                global_params, shards, strategy, round_idx, resolved, eval_x, eval_y
             )
         except FedbenchError as err:
             raise ExperimentAborted(str(err), result) from err

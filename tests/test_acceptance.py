@@ -12,14 +12,12 @@ import json
 import math
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedbench import (
     AdversarySpec,
-    ClientUpdate,
     ExperimentConfig,
     LocalOptimizerConfig,
     ModelSpec,
@@ -27,18 +25,17 @@ from fedbench import (
     Strategy,
     StrategyConfig,
     SyntheticSpec,
-    dp_clip,
-    forward_loss_grad,
     run_experiment,
     write_results,
 )
 from fedbench.config import run_id_for
 from fedbench.data import resolve_data_dir
+from fedbench.model import forward_loss_grad
 from fedbench.partition import PartitionSpec as PSpec
-from fedbench.partition import client_label_skew, partition
+from fedbench.partition import _check_cover, partition
 from fedbench.simulation import replica_seed
 
-from test_partition import balanced_dataset
+from test_partition import balanced_dataset, client_label_skew
 from test_strategies import (
     naive_weighted_mean,
     scalar_recurrence_trajectory,
@@ -304,7 +301,7 @@ def test_criterion_8_partition_properties():
             seed=int(rng.integers(0, 2**32)),
         )
         part = partition(ds.labels, spec, num_clients)
-        part.check_disjoint_cover(len(ds))
+        _check_cover(part, len(ds))
 
     means = {}
     for alpha in (0.1, 0.5, 100.0):

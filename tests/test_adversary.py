@@ -9,8 +9,8 @@ from fedbench import (
     ConfigError,
     Strategy,
     StrategyConfig,
-    corrupt,
 )
+from fedbench.adversary import corrupt
 
 
 def make_update(client_id, params):

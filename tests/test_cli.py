@@ -3,6 +3,7 @@
 import csv
 import gzip
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -349,6 +350,27 @@ def test_rerun_failing_before_writing_leaves_no_stale_summary(tmp_path, capsys, 
     assert "  fedavg_synthetic_iid_rep0: FAILED: dataset unreadable\n" in capsys.readouterr().out
     assert not (out_dir / "summary.csv").exists()
     assert main(["summarize", str(out_dir)]) == 1
+    run_dir = out_dir / "fedavg_synthetic_iid_rep0"
+    assert not (run_dir / "rounds.csv").exists() and not (run_dir / "state.npz").exists()
+
+
+def test_unremovable_old_run_fails_only_that_run(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "exp.ini"
+    path.write_text(TINY)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+    real_rmtree = shutil.rmtree
+
+    def refuse_fedavg(run_dir):
+        if run_dir.name == "fedavg_synthetic_iid_rep0":
+            raise PermissionError("read-only")
+        real_rmtree(run_dir)
+
+    monkeypatch.setattr(shutil, "rmtree", refuse_fedavg)
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    out = capsys.readouterr().out
+    assert "  fedavg_synthetic_iid_rep0: FAILED: PermissionError: read-only\n" in out
+    assert "  fedmedian_synthetic_iid_rep0: ok\n" in out
 
 
 def test_missing_config_exits_1(tmp_path):

@@ -5,8 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from fedbench import ConfigError, config_from_dict, config_to_dict, parse_config
-from fedbench.config import _SECTIONS, run_id_for, run_identity
+from fedbench import ConfigError, parse_config
+from fedbench.config import (
+    _SECTIONS,
+    config_from_dict,
+    config_to_dict,
+    run_id_for,
+    run_identity,
+)
 from fedbench.data import DATASET_NAMES, dataset_shape
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -18,23 +18,22 @@ from fedbench import (
     LocalOptimizerConfig,
     ModelSpec,
     PartitionSpec,
-    generate_synthetic,
-    init_model,
-    load_cifar10,
-    load_dataset,
-    load_idx_dataset,
+    SyntheticSpec,
     run_experiment,
-    train_local,
 )
 from fedbench.data import (
     _NOISE_TRUNCATION,
     SYNTH_MNIST,
     Dataset,
-    SyntheticSpec,
     _class_means,
     dataset_shape,
+    generate_synthetic,
+    load_cifar10,
+    load_dataset,
+    load_idx_dataset,
 )
-from fedbench.simulation import evaluate_centralized
+from fedbench.model import init_model
+from fedbench.simulation import evaluate_centralized, train_local
 
 
 def write_idx_images(path, arrays, magic=0x00000803):

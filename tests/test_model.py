@@ -12,14 +12,17 @@ from fedbench import (
     ModelSpec,
     NumericError,
     ShapeError,
+)
+from fedbench.model import (
     forward_logits,
     forward_loss_grad,
     init_model,
+    init_opt_state,
     local_adam_step,
     local_sgd_step,
-    train_local,
+    local_step,
 )
-from fedbench.model import AdamState, init_opt_state, local_step
+from fedbench.simulation import train_local
 
 
 def finite_difference_grad(params, spec, x, y, h=1e-5):

@@ -5,8 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedbench import ConfigError, PartitionSpec, client_label_skew, partition
+from fedbench import ConfigError, PartitionSpec
 from fedbench.data import Dataset
+from fedbench.partition import _check_cover, partition
+
+
+def sizes(assignments):
+    return [len(a) for a in assignments]
+
+
+def class_counts(assignments, labels, num_classes):
+    """(num_clients, num_classes) matrix of per-client label counts."""
+    counts = np.zeros((len(assignments), num_classes), dtype=np.int64)
+    for k, idx in enumerate(assignments):
+        counts[k] = np.bincount(labels[idx], minlength=num_classes)
+    return counts
+
+
+def client_label_skew(assignments, labels, num_classes):
+    """Mean total-variation distance between client and global label
+    distributions; used by the heterogeneity monotonicity checks."""
+    global_dist = np.bincount(labels, minlength=num_classes) / len(labels)
+    counts = class_counts(assignments, labels, num_classes)
+    dists = counts / counts.sum(axis=1, keepdims=True)
+    return float(0.5 * np.abs(dists - global_dist).sum(axis=1).mean())
 
 
 def label_dataset(labels):
@@ -44,29 +66,29 @@ class TestIid:
     def test_equal_split(self):
         ds = balanced_dataset(10, 10)  # 100 samples
         part = partition(ds.labels, PartitionSpec(mode="iid", seed=0), 10)
-        assert part.sizes() == [10] * 10
-        part.check_disjoint_cover(100)
+        assert sizes(part) == [10] * 10
+        _check_cover(part, 100)
 
     def test_near_equal_when_not_divisible(self):
         ds = balanced_dataset(5, 21)  # 105 samples over 10 clients
         part = partition(ds.labels, PartitionSpec(mode="iid", seed=1), 10)
-        sizes = part.sizes()
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == 105
+        counts = sizes(part)
+        assert max(counts) - min(counts) <= 1
+        assert sum(counts) == 105
 
 
 class TestDirichlet:
     def test_huge_alpha_is_near_uniform(self):
         ds = balanced_dataset(10, 100)  # 1000 samples
         part = partition(ds.labels, PartitionSpec(mode="dirichlet", alpha=1e6, seed=3), 10)
-        counts = part.class_counts(ds.labels, 10)
+        counts = class_counts(part, ds.labels, 10)
         proportions = counts / counts.sum(axis=1, keepdims=True)
         assert np.max(np.abs(proportions - 0.1)) < 0.02
 
     def test_golden_fixture(self):
         ds = balanced_dataset(10, 6000)
         part = partition(ds.labels, PartitionSpec(mode="dirichlet", alpha=0.5, seed=42), 10)
-        counts = part.class_counts(ds.labels, 10)
+        counts = class_counts(part, ds.labels, 10)
         assert np.array_equal(counts, GOLDEN_ALPHA05_SEED42)
         # Skew sanity the fixture was audited for.
         assert (counts < 30).sum() >= 10
@@ -88,8 +110,8 @@ class TestDirichlet:
         ds = balanced_dataset(2, 10)  # 20 samples, extreme alpha
         spec = PartitionSpec(mode="dirichlet", alpha=0.01, seed=5)
         part = partition(ds.labels, spec, 10)
-        assert min(part.sizes()) >= 1
-        part.check_disjoint_cover(20)
+        assert min(sizes(part)) >= 1
+        _check_cover(part, 20)
 
 
 class TestInvariants:
@@ -105,15 +127,15 @@ class TestInvariants:
                 seed=int(rng.integers(0, 2**32)),
             )
             part = partition(ds.labels, spec, num_clients)
-            part.check_disjoint_cover(280)
-            assert min(part.sizes()) >= 1
+            _check_cover(part, 280)
+            assert min(sizes(part)) >= 1
 
     def test_deterministic(self):
         ds = balanced_dataset(4, 25)
         spec = PartitionSpec(mode="dirichlet", alpha=0.3, seed=9)
         a = partition(ds.labels, spec, 6)
         b = partition(ds.labels, spec, 6)
-        for x, y in zip(a.assignments, b.assignments):
+        for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
 
@@ -132,6 +154,15 @@ class TestErrors:
     def test_bad_alpha(self):
         with pytest.raises(ConfigError, match="alpha"):
             PartitionSpec(mode="dirichlet", alpha=0.0).validate()
+
+    def test_cover_check_rejects_overlap_gap_and_range(self):
+        with pytest.raises(ConfigError, match="not a disjoint cover"):
+            _check_cover([np.array([0, 1]), np.array([1])], 3)  # 1 twice, 2 missing
+        with pytest.raises(ConfigError, match="not a disjoint cover"):
+            _check_cover([np.array([0]), np.array([2])], 3)
+        with pytest.raises(ConfigError, match="out of range"):
+            _check_cover([np.array([1, 2]), np.array([3])], 3)
+        _check_cover([np.array([2, 0]), np.array([1])], 3)
 
     def test_empty_dataset(self):
         ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), "empty", 1)

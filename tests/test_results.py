@@ -22,12 +22,11 @@ from fedbench import (
     RoundMetrics,
     StrategyConfig,
     SyntheticSpec,
-    config_from_dict,
     run_experiment,
     write_results,
     write_summary,
 )
-from fedbench.config import run_id_for
+from fedbench.config import config_from_dict, run_id_for
 from fedbench.results import _fmt, summarize_rounds
 
 # The output formats, written out: the columns derive from RoundMetrics and

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbench import (
-    ClientShard,
     ConfigError,
     ExperimentAborted,
     ExperimentConfig,
@@ -23,21 +22,21 @@ from fedbench import (
     Strategy,
     StrategyConfig,
     SyntheticSpec,
-    evaluate_centralized,
-    forward_loss_grad,
-    init_model,
-    load_dataset,
-    partition,
     run_experiment,
-    run_round,
 )
 import fedbench.simulation
+from fedbench.data import load_dataset
+from fedbench.model import forward_loss_grad, init_model
+from fedbench.partition import partition
 from fedbench.simulation import (
     _TAG_SUBSET,
+    ClientShard,
     RowView,
     _transfer,
     derived_rng,
+    evaluate_centralized,
     replica_seed,
+    run_round,
     train_local,
 )
 
@@ -87,7 +86,7 @@ class TestRunRound:
         strategy = Strategy(StrategyConfig(kind="fedavg"))
         new_params, metrics = run_round(
             params, shards, strategy, 1,
-            model=spec, local=LocalOptimizerConfig(), master_seed=5,
+            cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
             eval_features=eval_x, eval_labels=eval_y,
         )
         from fedbench.simulation import derived_rng, train_local, _TAG_TRAIN
@@ -104,7 +103,7 @@ class TestRunRound:
         with pytest.raises(ConfigError, match="at least one client"):
             run_round(
                 init_model(spec), [], Strategy(StrategyConfig(kind="fedavg")), 1,
-                model=spec, local=LocalOptimizerConfig(), master_seed=5,
+                cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
                 eval_features=eval_x, eval_labels=eval_y,
             )
 
@@ -115,8 +114,9 @@ class TestRunRound:
         strategy = Strategy(StrategyConfig(kind="fedavg"))
         new_params, metrics = run_round(
             params, shards, strategy, 1,
-            model=spec, local=LocalOptimizerConfig(kind="sgd", learning_rate=0.0),
-            master_seed=5, eval_features=eval_x, eval_labels=eval_y,
+            cfg=ExperimentConfig(model=spec, master_seed=5,
+                                 local=LocalOptimizerConfig(kind="sgd", learning_rate=0.0)),
+            eval_features=eval_x, eval_labels=eval_y,
         )
         np.testing.assert_allclose(new_params, params, atol=1e-12)
         assert abs(metrics.acc - acc_before) < 1e-12
@@ -132,7 +132,7 @@ class TestRunRound:
 
         run_round(
             init_model(spec), shards, Recorder(StrategyConfig(kind="fedavg")), 1,
-            model=spec, local=LocalOptimizerConfig(), master_seed=5,
+            cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
             eval_features=eval_x, eval_labels=eval_y,
         )
         assert seen == [0, 1, 2, 3, 4]
@@ -141,7 +141,7 @@ class TestRunRound:
         spec, shards, eval_x, eval_y = self.setup_round()
         _, metrics = run_round(
             init_model(spec), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
-            model=spec, local=LocalOptimizerConfig(), master_seed=5,
+            cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
             eval_features=eval_x, eval_labels=eval_y,
         )
         assert metrics.agg_time_s > 0
@@ -154,7 +154,7 @@ class TestRunRound:
         with pytest.raises(NumericError, match="client 2.*round 1"):
             run_round(
                 init_model(spec), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
-                model=spec, local=LocalOptimizerConfig(), master_seed=5,
+                cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
                 eval_features=eval_x, eval_labels=eval_y,
             )
 
@@ -176,7 +176,7 @@ class TestRunRound:
                            match="client 1 produced non-finite parameters in round 1"):
             run_round(
                 init_model(spec), shards, strategy, 1,
-                model=spec, local=LocalOptimizerConfig(), master_seed=5,
+                cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
                 eval_features=eval_x, eval_labels=eval_y,
             )
         assert strategy.state.round_index == 0
@@ -191,8 +191,9 @@ class TestRunRound:
                            match="aggregation produced non-finite parameters in round 1"):
             run_round(
                 init_model(spec), shards, strategy, 1,
-                model=spec, local=LocalOptimizerConfig(kind="sgd", learning_rate=10.0),
-                master_seed=5, eval_features=eval_x, eval_labels=eval_y,
+                cfg=ExperimentConfig(model=spec, master_seed=5,
+                                     local=LocalOptimizerConfig(kind="sgd", learning_rate=10.0)),
+                eval_features=eval_x, eval_labels=eval_y,
             )
 
     def test_dp_round_records_clip_norm(self):
@@ -200,7 +201,7 @@ class TestRunRound:
         strategy = Strategy(StrategyConfig(kind="dp"))
         _, metrics = run_round(
             init_model(spec), shards, strategy, 1,
-            model=spec, local=LocalOptimizerConfig(), master_seed=5,
+            cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
             eval_features=eval_x, eval_labels=eval_y,
         )
         assert metrics.clip_norm == strategy.state.clip_norm
@@ -214,7 +215,7 @@ class TestRunRound:
         with pytest.raises(NumericError, match="non-finite loss in round 1"):
             run_round(
                 init_model(spec), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
-                model=spec, local=LocalOptimizerConfig(), master_seed=5,
+                cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
                 eval_features=eval_x, eval_labels=eval_y,
             )
 
@@ -403,7 +404,7 @@ class TestRunExperiment:
             rows = derived_rng(seed, _TAG_SUBSET, 0).permutation(n)[:train_subset]
         model = result.config.model
         w0 = init_model(model)
-        shards = partition(train.labels[rows], result.config.partition, num_clients).assignments
+        shards = partition(train.labels[rows], result.config.partition, num_clients)
         clients = []
         for idx in shards:
             w = w0.copy()
@@ -422,6 +423,54 @@ class TestRunExperiment:
         if epochs == 1 and kind != "dp":
             _, grad = forward_loss_grad(w0, model, train.features[rows], train.labels[rows])
             np.testing.assert_allclose(result.final_params, w0 - 0.1 * grad, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_clients=st.integers(1, 6),
+           mode=st.sampled_from(["iid", "dirichlet"]),
+           alpha=st.sampled_from([0.05, 0.3, 1.0, 100.0]),
+           kind=st.sampled_from(["fedavgm", "fedadam", "fedadagrad"]))
+    def test_server_step_rounds_follow_the_full_batch_recurrence(
+        self, seed, num_clients, mode, alpha, kind
+    ):
+        # With one full-batch SGD step per client, FedAvg's weighted delta is
+        # delta_t = -lr * grad L(union) at w_t, so every round is the kind's
+        # server step on that delta (test_strategies' momentum, Adam without
+        # bias correction and Adagrad). The run sums per-client gradients
+        # where the oracle takes one on the union, so they differ by rounding
+        # only: atol 1e-12, as in the one-round FedSGD check above.
+        cfg = tiny_config(
+            rounds=3, num_clients=num_clients, master_seed=seed,
+            partition=PartitionSpec(mode=mode, alpha=alpha),
+            local=LocalOptimizerConfig(kind="sgd", learning_rate=0.1, batch_size=180),
+            strategy=StrategyConfig(kind=kind),
+        )
+        result = run_experiment(cfg)
+        train, test = load_dataset("synthetic", synthetic=cfg.synthetic)
+        model, server = result.config.model, result.config.strategy
+        w = init_model(model)
+        m, v = np.zeros_like(w), np.zeros_like(w)
+        for metrics in result.metrics:
+            _, grad = forward_loss_grad(w, model, train.features, train.labels)
+            delta = -0.1 * grad
+            if kind == "fedavgm":
+                m = server.momentum * m + delta
+                w = w + server.lr * m
+            else:
+                m = server.adam_beta1 * m + (1.0 - server.adam_beta1) * delta
+                if kind == "fedadagrad":
+                    v = v + delta * delta
+                else:
+                    v = server.adam_beta2 * v + (1.0 - server.adam_beta2) * delta * delta
+                w = w + server.lr * m / (np.sqrt(v) + server.adaptivity)
+            _, loss = evaluate_centralized(w, model, test.features, test.labels)
+            assert metrics.loss == pytest.approx(loss, rel=0, abs=1e-12)
+        np.testing.assert_allclose(result.final_params, w, rtol=0, atol=1e-12)
+        state = result.strategy_state
+        if kind == "fedavgm":
+            np.testing.assert_allclose(state.momentum_buffer, m, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_allclose(state.first_moment, m, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.second_moment, v, rtol=0, atol=1e-12)
 
     def test_caller_config_left_unchanged(self):
         cfg = tiny_config(rounds=1)

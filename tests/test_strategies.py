@@ -16,10 +16,8 @@ from fedbench import (
     ShapeError,
     Strategy,
     StrategyConfig,
-    dp_clip,
-    pseudo_gradient,
 )
-from fedbench.strategies import STRATEGY_KINDS
+from fedbench.strategies import STRATEGY_KINDS, dp_clip, pseudo_gradient
 
 
 def updates_from(w_t, deltas, num_samples=None):

@@ -29,9 +29,9 @@ from fedbench import (
     PartitionSpec,
     StrategyConfig,
     SyntheticSpec,
-    config_to_dict,
     run_experiment,
 )
+from fedbench.config import config_to_dict
 from fedbench.strategies import STRATEGY_KINDS
 
 FIXTURE = Path(__file__).with_name("trajectories.json")
