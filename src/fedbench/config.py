@@ -2,8 +2,9 @@
 
 Each section fills one config dataclass: its keys are the field names (two
 aliases aside, see _KEY_OF), typed by the field annotations and defaulting to
-the field defaults. The dataset, partition mode, and strategy kind accept
-comma-separated lists; a file with lists expands to the cross-product of runs.
+the field defaults. The grid axes, the keys run_identity names a run by, take
+comma-separated lists: a file expands to the cross-product of runs, and an iid
+run, whose identity ignores alpha, is made once whatever the alpha list.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ from .strategies import StrategyConfig
 _KEY_OF = {"local.kind": "optimizer", "adversary.affected_clients": "clients",
            "model.input_dim": None, "model.output_classes": None}
 
+# The grid axes, outermost first, keyed by the run_identity key each one sets.
+_AXES = {"dataset": ("experiment", "dataset"), "partition_mode": ("partition", "mode"),
+         "alpha": ("partition", "alpha"), "strategy": ("strategy", "kind")}
+
 
 def _unwrap_optional(hint):
     if isinstance(hint, types.UnionType):
@@ -53,17 +58,14 @@ _SECTIONS = {name: _section(name, cls) for name, cls in [
 ]}
 
 
-def _to_list(text: str) -> list[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
 def _coerce(text: str, hint, key: str):
     """Convert one INI value to the field type; `key` names it in errors."""
     hint = _unwrap_optional(hint)
     container = typing.get_origin(hint)
     if container is not None:  # list[int], frozenset[int]
         (item,) = typing.get_args(hint)
-        return container(_coerce(part, item, key) for part in _to_list(text))
+        parts = [part.strip() for part in text.split(",") if part.strip()]
+        return container(_coerce(part, item, key) for part in parts)
     try:
         value = hint(text)
     except ValueError:
@@ -93,7 +95,8 @@ def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:
                 )
             if text.strip():
                 field = keys[key]
-                given[section][field] = _coerce(text.strip(), hints[field], f"{section}.{key}")
+                hint = list[hints[field]] if (section, field) in _AXES.values() else hints[field]
+                given[section][field] = _coerce(text.strip(), hint, f"{section}.{key}")
     return given
 
 
@@ -107,34 +110,38 @@ def parse_config(path: str | Path) -> list[ExperimentConfig]:
         parser.read(path)
     except configparser.Error as err:
         raise ConfigError(f"{path}: {err}") from None
-    exp, par, mod, loc, strat, synth, adv = _read_sections(parser).values()
-
-    # The grid axes: comma-separated lists of the str fields they set.
-    datasets = _to_list(exp.pop("dataset", ExperimentConfig.dataset))
-    modes = _to_list(par.pop("mode", PartitionSpec.mode))
-    kinds = _to_list(strat.pop("kind", StrategyConfig.kind))
-    for key, items in [("experiment.dataset", datasets), ("partition.mode", modes),
-                       ("strategy.kind", kinds)]:
+    given = _read_sections(parser)
+    axes = [given[section].pop(field, [getattr(_SECTIONS[section][0], field)])
+            for section, field in _AXES.values()]
+    for (section, field), items in zip(_AXES.values(), axes):
         if not items:
-            raise ConfigError(f"{key}: the list has no items")
-    synthetic = SyntheticSpec(**synth) if synth or "synthetic" in datasets else None
+            raise ConfigError(f"{section}.{field}: the list has no items")
 
     configs = []
-    for dataset, mode, kind in itertools.product(datasets, modes, kinds):
-        input_dim, classes = dataset_shape(dataset, synthetic)
-        model = {"hidden_dims": [256] if dataset == "cifar10" else [128], **mod}
+    for picks in itertools.product(*map(enumerate, axes)):
+        sections = copy.deepcopy(given)
+        for (section, field), (_, item) in zip(_AXES.values(), picks):
+            sections[section][field] = item
+        exp, par, mod, loc, strat, synth, adv = sections.values()
+        synthetic = SyntheticSpec(**synth) if exp["dataset"] == "synthetic" else None
+        input_dim, classes = dataset_shape(exp["dataset"], synthetic)
+        model = {"hidden_dims": [256] if exp["dataset"] == "cifar10" else [128], **mod}
         cfg = ExperimentConfig(
-            dataset=dataset,
-            partition=PartitionSpec(mode=mode, **par),
-            model=ModelSpec(input_dim, output_classes=classes, **copy.deepcopy(model)),
+            partition=PartitionSpec(**par),
+            model=ModelSpec(input_dim, output_classes=classes, **model),
             local=LocalOptimizerConfig(**loc),
-            strategy=StrategyConfig(kind=kind, **strat),
+            strategy=StrategyConfig(**strat),
             adversary=AdversarySpec(**adv),
-            synthetic=copy.deepcopy(synthetic),
+            synthetic=synthetic,
             **exp,
         )
         cfg.validate()
-        configs.append(cfg)
+        # A later item on an axis the run's identity leaves out (None) repeats the run.
+        identity = run_identity(cfg)
+        if not any(i and identity[name] is None for name, (i, _) in zip(_AXES, picks)):
+            configs.append(cfg)
+    if given["synthetic"] and not any(cfg.synthetic for cfg in configs):
+        raise ConfigError("[synthetic] is set, but no run of the grid has dataset = synthetic")
     return configs
 
 
@@ -145,11 +152,16 @@ def run_identity(cfg: ExperimentConfig) -> dict:
             "alpha": cfg.partition.alpha if mode == "dirichlet" else None}
 
 
-def run_id_for(cfg: ExperimentConfig, replicate: int) -> str:
-    *parts, alpha = run_identity(cfg).values()
+def run_name(identity: dict) -> str:
+    """The id a run's replicas share; identity holds run_identity's keys (a summary row does)."""
+    *parts, alpha = (identity[key] for key in ("strategy", "dataset", "partition_mode", "alpha"))
     if alpha is not None:
         parts.append(f"a{alpha:g}")
-    return "_".join([*parts, f"rep{replicate}"])
+    return "_".join(parts)
+
+
+def run_id_for(cfg: ExperimentConfig, replicate: int) -> str:
+    return f"{run_name(run_identity(cfg))}_rep{replicate}"
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

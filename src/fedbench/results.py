@@ -19,14 +19,13 @@ import datetime
 import json
 import os
 import platform
-import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import config_to_dict, run_identity
+from .config import config_to_dict, run_identity, run_name
 from .errors import ConfigError
 from .partition import GENERATOR_NAME
 from .simulation import ExperimentConfig, ExperimentResult, RoundMetrics
@@ -38,8 +37,6 @@ _METRIC_COLUMNS = [f.name for f in fields(RoundMetrics) if f.name != "clip_norm"
 _TIMING_COLUMNS = [name for name in _METRIC_COLUMNS if name.endswith("_time_s")]
 
 ROUNDS_COLUMNS = _IDENTITY_COLUMNS + _METRIC_COLUMNS
-
-_REP_SUFFIX = re.compile(r"_rep\d+$")
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -100,8 +97,6 @@ def write_results(
         "train_size": result.train_size,
         "eval_size": result.eval_size,
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "strategy_round_index": state.round_index,
-        "strategy_clip_norm": state.clip_norm,
     }
     if error is not None:
         metadata["aborted"] = error
@@ -167,8 +162,7 @@ def write_summary(out_dir: str | Path) -> Path:
 def _mean_rows(rows: list[dict]) -> list[dict]:
     groups: dict[str, list[dict]] = {}
     for row in rows:
-        base = _REP_SUFFIX.sub("", str(row["run_id"]))
-        groups.setdefault(base, []).append(row)
+        groups.setdefault(run_name(row), []).append(row)
     _, *averaged = summarize_rounds([])  # every statistic but the round count
     means = []
     for base, members in sorted(groups.items()):

@@ -232,8 +232,6 @@ def run_round(
     if not clients:
         raise ConfigError("round needs at least one client")
 
-    # Without an attack no adversary RNG is made: each derived_rng costs tens of µs.
-    attacked = cfg.adversary.kind != "none"
     updates = []
     train_time = comm_time = 0.0
     for shard in clients:
@@ -256,12 +254,8 @@ def run_round(
                 f"client {shard.client_id} produced non-finite parameters in round {round_idx}"
             )
         update = ClientUpdate(shard.client_id, new_params=received, num_samples=len(shard.labels))
-        if attacked:
-            update = corrupt(
-                update, cfg.adversary, global_params,
-                derived_rng(cfg.master_seed, round_idx, shard.client_id, _TAG_ADVERSARY),
-            )
-        updates.append(update)
+        adversary_rng = derived_rng(cfg.master_seed, round_idx, shard.client_id, _TAG_ADVERSARY)
+        updates.append(corrupt(update, cfg.adversary, global_params, adversary_rng))
 
     agg_start = time.perf_counter()
     new_params = strategy.aggregate(

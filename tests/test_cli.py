@@ -5,6 +5,7 @@ import gzip
 import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ def test_validate_ok(config_path, capsys):
     assert main(["validate", "--config", str(config_path)]) == 0
     out = capsys.readouterr().out
     assert "2 run(s)" in out
+
+
+def test_heterogeneity_sweep_lists_42_runs(capsys):
+    # 7 kinds x {iid, 5 alphas}; not run here (42 runs of 25 rounds).
+    path = Path(__file__).resolve().parent.parent / "configs" / "heterogeneity_sweep.ini"
+    assert main(["validate", "--config", str(path)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert "42 run(s)" in header
+    ids = [line.split(":")[0].strip() for line in lines]
+    assert len(set(ids)) == len(ids) == 42
+    assert sum(run_id.endswith("_iid_rep0") for run_id in ids) == 7
 
 
 def test_validate_bad_config(tmp_path, capsys):

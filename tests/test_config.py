@@ -1,12 +1,17 @@
 """Config parsing: grids, validation messages, snapshot round-trips."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedbench import ConfigError, parse_config
+from fedbench import ConfigError, ExperimentConfig, PartitionSpec, parse_config
+from fedbench.cli import _expand_runs
 from fedbench.config import (
+    _AXES,
     _SECTIONS,
     config_from_dict,
     config_to_dict,
@@ -14,6 +19,8 @@ from fedbench.config import (
     run_identity,
 )
 from fedbench.data import DATASET_NAMES, dataset_shape
+from fedbench.partition import PARTITION_MODES
+from fedbench.strategies import STRATEGY_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -99,15 +106,18 @@ dataset = synthmnist, synthetic
 """
         configs = parse_config(write(tmp_path, text))
         assert [c.dataset for c in configs] == ["synthmnist", "synthetic"]
-        # synthetic resolves model dims from its section defaults
+        # synthetic resolves model dims from its section defaults; only its runs carry the spec
+        assert configs[0].synthetic is None
         assert configs[1].synthetic is not None
 
     def test_negative_alpha_rejected(self, tmp_path):
+        # An iid grid makes one run whatever the alpha list, yet every alpha is checked.
         for mode in ("dirichlet", "iid"):
-            text = BASELINE.replace("alpha = 0.5", "alpha = -1").replace(
-                "mode = dirichlet", f"mode = {mode}")
-            with pytest.raises(ConfigError, match="alpha"):
-                parse_config(write(tmp_path, text))
+            for alphas in ("-1", "0.5, -1"):
+                text = BASELINE.replace("alpha = 0.5", f"alpha = {alphas}").replace(
+                    "mode = dirichlet", f"mode = {mode}")
+                with pytest.raises(ConfigError, match="alpha must be > 0, got -1"):
+                    parse_config(write(tmp_path, text))
 
     def test_unknown_key_named(self, tmp_path):
         # The model's input and output widths are the dataset's, not keys.
@@ -144,15 +154,20 @@ dataset = synthmnist, synthetic
         (BASELINE.replace("synthmnist", "synthmnist, imagenet"), "unknown dataset 'imagenet'"),
         # NaN compares false against every bound, so validate alone lets it through.
         (BASELINE.replace("alpha = 0.5", "alpha = nan"), "partition.alpha: expected a finite"),
+        (BASELINE.replace("alpha = 0.5", "alpha = 0.5, nan"), "partition.alpha: expected a finite"),
         (BASELINE + "server_lr = inf\n", "strategy.server_lr: expected a finite"),
         # An axis list with no items made an empty grid that exited 0.
         (BASELINE.replace("kind = fedavg", "kind = ,"), "strategy.kind: the list has no items"),
         (BASELINE.replace("mode = dirichlet", "mode = ,"), "partition.mode: the list has no items"),
         (BASELINE.replace("dataset = synthmnist", "dataset = ,"), "experiment.dataset: the list"),
+        (BASELINE.replace("alpha = 0.5", "alpha = ,"), "partition.alpha: the list has no items"),
+        # The run used SYNTH_MNIST, yet its run.json recorded these settings.
+        (BASELINE + "[synthetic]\nclass_sep = 0.5\n", r"\[synthetic\] is set, but no run"),
         # An attack on no client ran as an honest experiment.
         (BASELINE + "[adversary]\nkind = scale\nscale_factor = -4\n", "adversary.clients"),
-    ], ids=["hidden_zero", "unknown_dataset", "alpha_nan", "server_lr_inf",
-            "kind_empty_list", "mode_empty_list", "dataset_empty_list", "attack_without_clients"])
+    ], ids=["hidden_zero", "unknown_dataset", "alpha_nan", "alpha_list_nan", "server_lr_inf",
+            "kind_empty_list", "mode_empty_list", "dataset_empty_list", "alpha_empty_list",
+            "synthetic_section_unused", "attack_without_clients"])
     def test_unrunnable_config_rejected(self, tmp_path, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write(tmp_path, text))
@@ -191,6 +206,52 @@ clients = 0, 3
     def test_absent_adversary_section_means_none(self, tmp_path):
         (cfg,) = parse_config(write(tmp_path, BASELINE))
         assert cfg.adversary.kind == "none"
+
+
+def subsets(items):
+    """Non-empty lists of distinct items, in drawn order."""
+    return st.lists(st.sampled_from(items), min_size=1, max_size=len(items), unique=True)
+
+
+# Distinct alphas that also print apart in run ids (a{alpha:g}).
+alpha_lists = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4,
+                       unique_by=lambda alpha: f"{alpha:g}")
+
+
+class TestGrid:
+    @settings(max_examples=50, deadline=None)
+    @given(subsets(DATASET_NAMES), subsets(PARTITION_MODES), alpha_lists, subsets(STRATEGY_KINDS))
+    def test_run_ids_are_the_grid(self, datasets, modes, alphas, kinds):
+        text = (f"[experiment]\ndataset = {', '.join(datasets)}\n"
+                f"[partition]\nmode = {', '.join(modes)}\n"
+                f"alpha = {', '.join(map(repr, alphas))}\n"
+                f"[strategy]\nkind = {', '.join(kinds)}\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), text)
+            ids = [run_id for _, run_id, _ in _expand_runs(parse_config(path), 1, None, None)]
+            # A repeated kind still names two runs alike.
+            path.write_text(text.replace(f"kind = {kinds[0]}", f"kind = {kinds[0]}, {kinds[0]}"))
+            with pytest.raises(ConfigError, match="duplicate run ids"):
+                _expand_runs(parse_config(path), 1, None, None)
+        # Grid order: dataset, mode, alpha, kind; an iid run is made once.
+        expected = [
+            f"{kind}_{dataset}_iid_rep0" if mode == "iid"
+            else f"{kind}_{dataset}_dirichlet_a{alpha:g}_rep0"
+            for dataset in datasets for mode in modes
+            for alpha in (alphas if mode == "dirichlet" else alphas[:1]) for kind in kinds
+        ]
+        assert ids == expected
+        assert len(set(ids)) == len(ids) == len(datasets) * len(kinds) * (
+            ("iid" in modes) + len(alphas) * ("dirichlet" in modes))
+
+    def test_axes_are_the_run_identity(self):
+        cfg = ExperimentConfig(partition=PartitionSpec(mode="dirichlet", alpha=0.3))
+        identity = run_identity(cfg)
+        assert set(_AXES) == set(identity)
+        assert list(_AXES)[0] == "dataset"  # outermost: the split cache holds one dataset
+        for name, (section, field) in _AXES.items():
+            holder = cfg if section == "experiment" else getattr(cfg, section)
+            assert identity[name] == getattr(holder, field), name
 
 
 class TestRunIds:

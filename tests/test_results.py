@@ -42,8 +42,7 @@ SUMMARY_KEYS = ["rounds", "final_acc", "final_loss",
                 "mean_agg_time_s", "mean_train_time_s", "mean_comm_time_s",
                 "run_id", "strategy", "dataset", "partition_mode", "alpha", "replicate"]
 METADATA_KEYS = {"fedbench_version", "numpy_version", "python_version", "blas", "thread_env",
-                 "rng", "train_size", "eval_size", "finished_at", "strategy_round_index",
-                 "strategy_clip_norm"}
+                 "rng", "train_size", "eval_size", "finished_at"}
 
 
 def small_config(**overrides):
@@ -225,14 +224,31 @@ class TestSummarize:
             assert row[column] == _fmt(value), column
 
     def test_mean_rows_for_replicas(self, tmp_path):
-        for rep in range(3):
-            cfg = small_config(master_seed=100 + rep)
-            write_results(run_experiment(cfg), run_id_for(cfg, rep), tmp_path, rep)
-        write_summary(tmp_path)
-        with open(tmp_path / "summary.csv", newline="") as fh:
+        # One replica group, then a grid of kinds x alphas: one mean row per (kind, alpha).
+        for sub, kinds, alphas in [("one", ["fedavgm"], [0.5]),
+                                   ("grid", ["fedavg", "fedmedian"], [0.1, 1.0])]:
+            self.check_mean_rows(tmp_path / sub, kinds, alphas)
+
+    @staticmethod
+    def check_mean_rows(out_dir, kinds, alphas):
+        for kind in kinds:
+            for alpha in alphas:
+                for rep in range(3):
+                    cfg = small_config(master_seed=100 + rep, strategy=StrategyConfig(kind=kind),
+                                       partition=PartitionSpec(mode="dirichlet", alpha=alpha))
+                    write_results(run_experiment(cfg), run_id_for(cfg, rep), out_dir, rep)
+        with open(write_summary(out_dir), newline="") as fh:
             all_rows = list(csv.DictReader(fh))
-        assert len(all_rows) == 4  # 3 replicas + 1 mean row
-        mean_row = all_rows[-1]
-        assert mean_row["replicate"] == "mean"
-        accs = [float(r["final_acc"]) for r in all_rows[:3]]
-        assert abs(float(mean_row["final_acc"]) - sum(accs) / 3) <= 1e-12
+        groups = len(kinds) * len(alphas)
+        assert len(all_rows) == 4 * groups  # 3 replicas + 1 mean row per group
+        replica_rows, mean_rows = all_rows[:3 * groups], all_rows[3 * groups:]
+        assert {r["replicate"] for r in mean_rows} == {"mean"}
+        assert sorted((r["strategy"], float(r["alpha"])) for r in mean_rows) == sorted(
+            (kind, alpha) for kind in kinds for alpha in alphas)
+        for mean_row in mean_rows:
+            members = [r for r in replica_rows
+                       if (r["strategy"], r["alpha"]) == (mean_row["strategy"], mean_row["alpha"])]
+            assert [r["replicate"] for r in members] == ["0", "1", "2"]
+            assert mean_row["run_id"] == members[0]["run_id"].removesuffix("_rep0")
+            accs = [float(r["final_acc"]) for r in members]
+            assert abs(float(mean_row["final_acc"]) - sum(accs) / 3) <= 1e-12
