@@ -69,8 +69,8 @@ def _expand_runs(
                 instance.data_dir = data_dir
             runs.append((instance, run_id_for(instance, rep), rep))
     ids = [run_id for _, run_id, _ in runs]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"grid produces duplicate run ids: {sorted(ids)}")
+    if repeated := sorted({run_id for run_id in ids if ids.count(run_id) > 1}):
+        raise ConfigError(f"grid produces duplicate run ids: {repeated}")
     return runs
 
 

@@ -155,8 +155,8 @@ def run_identity(cfg: ExperimentConfig) -> dict:
 def run_name(identity: dict) -> str:
     """The id a run's replicas share; identity holds run_identity's keys (a summary row does)."""
     *parts, alpha = (identity[key] for key in ("strategy", "dataset", "partition_mode", "alpha"))
-    if alpha is not None:
-        parts.append(f"a{alpha:g}")
+    if alpha is not None:  # :g, unless that would give two distinct alphas one id
+        parts.append(f"a{alpha:g}" if float(f"{alpha:g}") == alpha else f"a{alpha!r}")
     return "_".join(parts)
 
 

@@ -36,24 +36,9 @@ class Dataset:
 
     features: Array
     labels: Array
-    name: str
-    num_classes: int
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def validate(self) -> None:
-        if self.features.ndim != 2:
-            raise IngestionError(f"{self.name}: features must be 2-D")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise IngestionError(
-                f"{self.name}: {self.features.shape[0]} feature rows vs "
-                f"{self.labels.shape[0]} labels"
-            )
-        if len(self) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise IngestionError(
-                f"{self.name}: labels outside [0, {self.num_classes})"
-            )
 
 
 @dataclass
@@ -159,12 +144,7 @@ def _read_idx(path: Path, expected_magic: int) -> Array:
     return np.frombuffer(raw, np.uint8, expected, start).reshape(dims)
 
 
-def load_idx_dataset(
-    images_path: str | os.PathLike,
-    labels_path: str | os.PathLike,
-    name: str = "idx",
-    num_classes: int | None = None,
-) -> Dataset:
+def load_idx_dataset(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> Dataset:
     """Load an images/labels IDX pair; pixels are scaled by 1/255."""
     images = _read_idx(Path(images_path), IDX_MAGIC_IMAGES)
     labels = _read_idx(Path(labels_path), IDX_MAGIC_LABELS)
@@ -174,12 +154,7 @@ def load_idx_dataset(
             f"{labels_path} has {labels.shape[0]} labels"
         )
     features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    labels = labels.astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1 if labels.size else 0
-    ds = Dataset(features=features, labels=labels, name=name, num_classes=num_classes)
-    ds.validate()
-    return ds
+    return Dataset(features, labels.astype(np.int64))
 
 
 def load_cifar10(data_dir: str | os.PathLike, split: str = "train") -> Dataset:
@@ -199,14 +174,7 @@ def load_cifar10(data_dir: str | os.PathLike, split: str = "train") -> Dataset:
         records = raw.reshape(-1, 3073)
         labs.append(records[:, 0].astype(np.int64))
         feats.append(records[:, 1:].astype(np.float64) / 255.0)
-    ds = Dataset(
-        features=np.concatenate(feats),
-        labels=np.concatenate(labs),
-        name="cifar10",
-        num_classes=10,
-    )
-    ds.validate()
-    return ds
+    return Dataset(np.concatenate(feats), np.concatenate(labs))
 
 
 def _class_means(
@@ -250,9 +218,7 @@ def _permute_rows(a: Array, src: Array) -> None:
         a[i], src[i] = row, -1
 
 
-def generate_synthetic(
-    spec: SyntheticSpec, name: str = "synthetic"
-) -> tuple[Dataset, Dataset]:
+def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     """Seeded Gaussian blobs, one per class, rescaled into [0, 1], as (train, test).
 
     Means sit on a scaled simplex so the classes are linearly separable;
@@ -285,26 +251,23 @@ def generate_synthetic(
         train_mask[np.flatnonzero(labels == c)[: spec.train_per_class]] = True
     train_rows, test_rows = np.flatnonzero(train_mask), np.flatnonzero(~train_mask)
     _permute_rows(features, order[np.concatenate([train_rows, test_rows])])
-    train = Dataset(features[: len(train_rows)], labels[train_rows], name, spec.num_classes)
-    test = Dataset(features[len(train_rows) :], labels[test_rows], name, spec.num_classes)
-    train.validate()
-    test.validate()
-    return train, test
+    return (Dataset(features[: len(train_rows)], labels[train_rows]),
+            Dataset(features[len(train_rows) :], labels[test_rows]))
 
 
-# The last generated split, keyed by (name, spec fields). A grid varies the
+# The last generated split, keyed by the spec's fields. A grid varies the
 # dataset in its outermost axis, so one entry serves every run of a dataset.
 _last_split: tuple[tuple, tuple[Dataset, Dataset]] | None = None
 
 
-def _generate_split(spec: SyntheticSpec, name: str) -> tuple[Dataset, Dataset]:
+def _generate_split(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     """generate_synthetic's split, cached for the process with read-only
     arrays, so every caller sees the same data."""
     global _last_split
-    key = (name, astuple(spec))
+    key = astuple(spec)
     if _last_split is not None and _last_split[0] == key:
         return _last_split[1]
-    split = generate_synthetic(spec, name)
+    split = generate_synthetic(spec)
     for ds in split:
         ds.features.flags.writeable = False
         ds.labels.flags.writeable = False
@@ -340,12 +303,13 @@ def load_dataset(
     mnist/fmnist/cifar10 read files from <data_dir>/<name>/ (FEDBENCH_DATA_DIR
     is the fallback location). synthetic uses the provided SyntheticSpec;
     synthmnist is the fixed 784-dim surrogate used when MNIST is absent.
+    Loaded files must match the dataset's width and class count.
     """
     width, classes = dataset_shape(name, synthetic)
     if name == "synthetic":
-        return _generate_split(synthetic or SyntheticSpec(), "synthetic")
+        return _generate_split(synthetic or SyntheticSpec())
     if name == "synthmnist":
-        return _generate_split(SYNTH_MNIST, "synthmnist")
+        return _generate_split(SYNTH_MNIST)
 
     root = resolve_data_dir(data_dir)
     if root is None:
@@ -354,14 +318,17 @@ def load_dataset(
         )
     base = root / name if (root / name).is_dir() else root
     if name == "cifar10":
-        return load_cifar10(base, "train"), load_cifar10(base, "test")
-    train, test = (
-        load_idx_dataset(*_idx_pair(base, split), name=name, num_classes=classes)
-        for split in ("train", "test")
-    )
+        train, test = load_cifar10(base, "train"), load_cifar10(base, "test")
+    else:
+        train, test = (load_idx_dataset(*_idx_pair(base, split)) for split in ("train", "test"))
     for ds in (train, test):
         if ds.features.shape[1] != width:
             raise IngestionError(
                 f"{base}: {name} images have {ds.features.shape[1]} features, expected {width}"
+            )
+        # The loaders read labels as unsigned bytes, so none is negative.
+        if len(ds) and ds.labels.max() >= classes:
+            raise IngestionError(
+                f"{base}: {name} labels outside [0, {classes}): found {ds.labels.max()}"
             )
     return train, test

@@ -25,7 +25,6 @@ class ModelSpec:
     input_dim: int
     hidden_dims: list[int] = field(default_factory=list)
     output_classes: int = 10
-    init_seed: int | None = None
 
     def validate(self) -> None:
         if self.input_dim < 1:
@@ -95,10 +94,9 @@ class AdamState:
     step: int = 0
 
 
-def init_model(spec: ModelSpec) -> Array:
-    """He-uniform weights (seeded), zero biases, flattened into one vector."""
+def init_model(spec: ModelSpec, seed: int) -> Array:
+    """He-uniform weights drawn from seed, zero biases, flattened into one vector."""
     spec.validate()
-    seed = 0 if spec.init_seed is None else spec.init_seed
     rng = np.random.default_rng(seed)
     parts = []
     for fan_in, fan_out in spec.layer_shapes():

@@ -22,7 +22,6 @@ GENERATOR_NAME = "numpy-pcg64"
 class PartitionSpec:
     mode: str = "iid"
     alpha: float = 0.5
-    seed: int | None = None  # None: derived from the experiment master seed
 
     def validate(self) -> None:
         if self.mode not in PARTITION_MODES:
@@ -33,9 +32,10 @@ class PartitionSpec:
             raise ConfigError(f"partition.alpha must be > 0, got {self.alpha}")
 
 
-def partition(labels: Array, spec: PartitionSpec, num_clients: int) -> list[Array]:
+def partition(labels: Array, spec: PartitionSpec, num_clients: int, seed: int) -> list[Array]:
     """Split the indices of a label vector across num_clients clients per the
-    spec: one index array per client, each holding at least one sample."""
+    spec, drawing from seed: one index array per client, each holding at least
+    one sample."""
     spec.validate()
     n = len(labels)
     if n == 0:
@@ -44,7 +44,6 @@ def partition(labels: Array, spec: PartitionSpec, num_clients: int) -> list[Arra
         raise ConfigError(f"labels must be >= 0, got {labels.min()}")
     if not 1 <= num_clients <= n:
         raise ConfigError(f"cannot give {num_clients} clients at least one of {n} samples")
-    seed = 0 if spec.seed is None else spec.seed
     rng = np.random.default_rng(seed)
 
     if spec.mode == "iid":

@@ -145,6 +145,8 @@ def write_summary(out_dir: str | Path) -> Path:
             with open(run_json) as fh:
                 run = json.load(fh)
             if "aborted" not in run["metadata"]:
+                if missing := [c for c in SUMMARY_COLUMNS if c not in run["summary"]]:
+                    raise ConfigError(f"{run_json}: summary lacks {missing}")
                 rows.append(run["summary"])
         except (OSError, ValueError, KeyError, TypeError) as err:
             raise ConfigError(f"{run_json}: cannot read run record: {err!r}") from err

@@ -9,7 +9,7 @@ determinism contract.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -223,7 +223,7 @@ def run_round(
 ) -> tuple[Array, RoundMetrics]:
     """Execute one communication round and measure the paper-style metrics.
 
-    cfg is the run's resolved config: it supplies the model, the client
+    cfg is the run's config: it supplies the model, the client
     optimizer, the master seed and the adversary. Clients train one after
     another in the calling thread, so train_time_s is the sum of the clients'
     broadcast-to-reply times (transfers included) and comm_time_s the sum of
@@ -299,34 +299,27 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     cfg.validate()
     train, test = load_dataset(cfg.dataset, cfg.data_dir, cfg.synthetic)
 
-    # Seeds are resolved in copies; the caller's config stays as given.
-    model = replace(cfg.model)
-    if model.init_seed is None:
-        model.init_seed = derived_seed(cfg.master_seed, _TAG_MODEL_INIT)
-
     rows = np.arange(len(train))[
         _subset(len(train), cfg.train_subset, derived_rng(cfg.master_seed, _TAG_SUBSET, 0))
     ]
     eval_rows = _subset(len(test), cfg.eval_subset, derived_rng(cfg.master_seed, _TAG_SUBSET, 1))
     eval_x, eval_y = test.features[eval_rows], test.labels[eval_rows]
 
-    pspec = replace(cfg.partition)
-    if pspec.seed is None:
-        pspec.seed = derived_seed(cfg.master_seed, _TAG_PARTITION)
     # Clients index the loaded split; only their labels are copied.
     labels = train.labels[rows]
+    assignments = partition(labels, cfg.partition, cfg.num_clients,
+                            derived_seed(cfg.master_seed, _TAG_PARTITION))
     shards = [
         ClientShard(k, RowView(train.features, rows[idx]), labels[idx])
-        for k, idx in enumerate(partition(labels, pspec, cfg.num_clients))
+        for k, idx in enumerate(assignments)
     ]
 
-    resolved = replace(cfg, model=model, partition=pspec)
-    global_params = init_model(model)
+    global_params = init_model(cfg.model, derived_seed(cfg.master_seed, _TAG_MODEL_INIT))
     strategy = Strategy(cfg.strategy)
 
     # Holds the rounds completed so far; ExperimentAborted carries it.
     result = ExperimentResult(
-        config=resolved,
+        config=cfg,
         metrics=[],
         final_params=global_params,
         strategy_state=strategy.state,
@@ -336,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for round_idx in range(1, cfg.rounds + 1):
         try:
             global_params, record = run_round(
-                global_params, shards, strategy, round_idx, resolved, eval_x, eval_y
+                global_params, shards, strategy, round_idx, cfg, eval_x, eval_y
             )
         except FedbenchError as err:
             raise ExperimentAborted(str(err), result) from err

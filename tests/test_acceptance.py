@@ -295,19 +295,15 @@ def test_criterion_8_partition_properties():
     for _ in range(100):
         mode = "iid" if rng.random() < 0.5 else "dirichlet"
         num_clients = int(rng.integers(1, 20))
-        spec = PSpec(
-            mode=mode,
-            alpha=float(10 ** rng.uniform(-1.5, 2.5)),
-            seed=int(rng.integers(0, 2**32)),
-        )
-        part = partition(ds.labels, spec, num_clients)
+        spec = PSpec(mode=mode, alpha=float(10 ** rng.uniform(-1.5, 2.5)))
+        part = partition(ds.labels, spec, num_clients, int(rng.integers(0, 2**32)))
         _check_cover(part, len(ds))
 
     means = {}
     for alpha in (0.1, 0.5, 100.0):
         skews = [
             client_label_skew(
-                partition(ds.labels, PSpec(mode="dirichlet", alpha=alpha, seed=seed), 10),
+                partition(ds.labels, PSpec(mode="dirichlet", alpha=alpha), 10, seed),
                 ds.labels, 10,
             )
             for seed in range(20)

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedbench.cli import main
+from fedbench.cli import _expand_runs, main
+from fedbench.config import config_from_dict, config_to_dict, parse_config
 from fedbench.errors import FedbenchError
-from fedbench.simulation import _TAG_MODEL_INIT, _TAG_PARTITION, derived_seed, run_experiment
+from fedbench.simulation import run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY = """
 [experiment]
@@ -86,11 +89,12 @@ def test_validate_bad_config(tmp_path, capsys):
 
 def test_duplicate_run_ids_rejected_by_validate_and_run(tmp_path, capsys):
     path = tmp_path / "dup.ini"
-    path.write_text(TINY.replace("kind = fedavg, fedmedian", "kind = fedavg, fedavg"))
+    path.write_text(TINY.replace("kind = fedavg, fedmedian", "kind = fedavg, fedmedian, fedavg"))
     out_dir = tmp_path / "out"
     for command in (["validate"], ["run", "--out", str(out_dir)]):
         assert main([*command, "--config", str(path)]) == 1
-        assert "duplicate run ids" in capsys.readouterr().err
+        # Only the repeated ids are listed.
+        assert "duplicate run ids: ['fedavg_synthetic_iid_rep0']\n" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -250,6 +254,36 @@ def test_seed_override_changes_results(config_path, tmp_path):
     assert a != b
 
 
+def test_snapshot_is_the_run_input(tmp_path):
+    quick, out_dir = ROOT / "configs" / "quick.ini", tmp_path / "out"
+    flags = ["--replicas", "2", "--seed", "3"]
+    assert main(["run", "--config", str(quick), "--out", str(out_dir), *flags]) == 0
+    runs = _expand_runs(parse_config(quick), 2, 3, None)
+    assert len(runs) == 8
+    for cfg, run_id, _ in runs:
+        snapshot = json.loads((out_dir / run_id / "run.json").read_text())["config"]
+        assert snapshot == config_to_dict(cfg)
+        assert config_from_dict(snapshot) == cfg
+
+
+@pytest.mark.parametrize("command", ["summarize", "run"])
+def test_summary_lacking_a_column_names_its_file(command, config_path, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+    # A run.json from a version with fewer summary columns; run rewrites only its own runs.
+    old = out_dir / "fedavgm_synthetic_iid_rep0" / "run.json"
+    old.parent.mkdir()
+    run = json.loads((out_dir / "fedavg_synthetic_iid_rep0" / "run.json").read_text())
+    del run["summary"]["final_loss"]
+    run["summary"]["run_id"], run["summary"]["strategy"] = old.parent.name, "fedavgm"
+    old.write_text(json.dumps(run))
+    argv = {"summarize": [str(out_dir)],
+            "run": ["--config", str(config_path), "--out", str(out_dir)]}[command]
+    assert main([command, *argv]) == 1
+    assert f"config error: {old}: summary lacks ['final_loss']" in capsys.readouterr().err
+    assert not (out_dir / "summary.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "grid, completed", [(TINY, 2), (ONE_ABORTS_PARTWAY, 1)], ids=["completed", "one_aborts"]
@@ -315,10 +349,6 @@ def test_numeric_failure_exits_2_with_partial_flush(config_path, tmp_path, capsy
     # Round 1 aborts on its NaN loss, so run.json is strict JSON with no rounds.
     strict = json.loads((run_dir / "run.json").read_text(), parse_constant=pytest.fail)
     assert strict["rounds"] == []
-    # The snapshot records the seeds the run derived, as a completed run does.
-    config = json.loads((run_dir / "run.json").read_text())["config"]
-    assert config["partition"]["seed"] == derived_seed(3, _TAG_PARTITION)
-    assert config["model"]["init_seed"] == derived_seed(3, _TAG_MODEL_INIT)
     # Its metadata holds everything a completed run's does, plus the error.
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "ok")])
     completed = json.loads((tmp_path / "ok" / run_dir.name / "run.json").read_text())

@@ -24,13 +24,14 @@ from fedbench.strategies import STRATEGY_KINDS
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Every key an INI file may set, per section (39 in all). The model's input
-# and output widths are the dataset's shape and not settable.
+# Every key an INI file may set, per section (37 in all). The model's input
+# and output widths are the dataset's shape and not settable; the partition and
+# model-init seeds derive from the master seed.
 SETTABLE_KEYS = {
     "experiment": {"dataset", "rounds", "num_clients", "master_seed",
                    "train_subset", "eval_subset", "data_dir"},
-    "partition": {"mode", "alpha", "seed"},
-    "model": {"hidden_dims", "init_seed"},
+    "partition": {"mode", "alpha"},
+    "model": {"hidden_dims"},
     "local": {"optimizer", "learning_rate", "batch_size", "local_epochs",
               "adam_beta1", "adam_beta2", "adam_epsilon"},
     "strategy": {"kind", "server_lr", "momentum", "adam_beta1", "adam_beta2",
@@ -213,9 +214,9 @@ def subsets(items):
     return st.lists(st.sampled_from(items), min_size=1, max_size=len(items), unique=True)
 
 
-# Distinct alphas that also print apart in run ids (a{alpha:g}).
-alpha_lists = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4,
-                       unique_by=lambda alpha: f"{alpha:g}")
+# Any distinct finite alphas; those that print alike under :g included.
+alpha_lists = st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                       min_size=1, max_size=4, unique=True)
 
 
 class TestGrid:
@@ -235,12 +236,16 @@ class TestGrid:
                 _expand_runs(parse_config(path), 1, None, None)
         # Grid order: dataset, mode, alpha, kind; an iid run is made once.
         expected = [
-            f"{kind}_{dataset}_iid_rep0" if mode == "iid"
-            else f"{kind}_{dataset}_dirichlet_a{alpha:g}_rep0"
+            (kind, dataset, mode, alpha if mode == "dirichlet" else None)
             for dataset in datasets for mode in modes
             for alpha in (alphas if mode == "dirichlet" else alphas[:1]) for kind in kinds
         ]
-        assert ids == expected
+        named = []
+        for run_id in ids:  # kind_dataset_mode[_a<alpha>]_rep0; the alpha reads back exactly
+            kind, dataset, mode, *alpha, rep = run_id.split("_")
+            assert rep == "rep0"
+            named.append((kind, dataset, mode, float(alpha[0][1:]) if alpha else None))
+        assert named == expected
         assert len(set(ids)) == len(ids) == len(datasets) * len(kinds) * (
             ("iid" in modes) + len(alphas) * ("dirichlet" in modes))
 
@@ -263,6 +268,14 @@ class TestRunIds:
         assert run_identity(cfg) == {"strategy": "fedavg", "dataset": "synthmnist",
                                      "partition_mode": "iid", "alpha": None}
 
+    def test_alpha_is_short_unless_that_merges_two(self, tmp_path):
+        text = BASELINE.replace("alpha = 0.5", "alpha = 1e-05, 0.1234561, 0.1234562")
+        runs = _expand_runs(parse_config(write(tmp_path, text)), 1, None, None)
+        assert [run_id for _, run_id, _ in runs] == [
+            f"fedavg_synthmnist_dirichlet_a{alpha}_rep0"
+            for alpha in ("1e-05", "0.1234561", "0.1234562")
+        ]
+
 
 class TestSnapshot:
     def test_round_trip_equality(self, tmp_path):
@@ -276,17 +289,20 @@ class TestSnapshot:
         assert config_from_dict(snapshot) == cfg
 
     def test_snapshot_with_removed_keys_loads(self, tmp_path):
-        # Snapshots from before partition.num_clients and model.activation
-        # were deleted still load; the stale keys are ignored.
+        # Snapshots from before partition.num_clients, model.activation,
+        # partition.seed and model.init_seed were deleted still load; the
+        # stale keys are ignored.
         (cfg,) = parse_config(write(tmp_path, BASELINE))
         snapshot = config_to_dict(cfg)
         snapshot["partition"]["num_clients"] = cfg.num_clients
         snapshot["model"]["activation"] = "relu"
+        snapshot["partition"]["seed"] = 123
+        snapshot["model"]["init_seed"] = 456
         assert config_from_dict(snapshot) == cfg
 
     def test_shipped_configs_round_trip(self):
         assert {name: set(keys) for name, (_, keys) in _SECTIONS.items()} == SETTABLE_KEYS
-        assert sum(len(keys) for keys in SETTABLE_KEYS.values()) == 39
+        assert sum(len(keys) for keys in SETTABLE_KEYS.values()) == 37
         paths = [*ROOT.glob("configs/*.ini"), *ROOT.glob("bench/workloads/*.ini")]
         assert len(paths) >= 5
         for path in paths:

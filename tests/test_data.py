@@ -1,6 +1,7 @@
 """Ingestion: IDX parsing, CIFAR-10 binary batches, synthetic blobs."""
 
 import gzip
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -66,12 +67,11 @@ def idx_pair(tmp_path):
 class TestIdx:
     def test_accepts_valid_pair(self, idx_pair):
         img_path, lab_path, images, labels = idx_pair
-        ds = load_idx_dataset(img_path, lab_path, name="toy")
+        ds = load_idx_dataset(img_path, lab_path)
         assert ds.features.shape == (6, 12)
         assert ds.features.max() == 1.0  # 255 scaled
         assert ds.features.min() == 0.0
         assert np.array_equal(ds.labels, labels)
-        assert ds.num_classes == 3
 
     def test_accepts_gzip(self, idx_pair, tmp_path):
         img_path, lab_path, *_ = idx_pair
@@ -158,7 +158,7 @@ class TestCifar:
             load_cifar10(tmp_path, "train")
 
 
-def reference_generate_synthetic(spec, name="synthetic"):
+def reference_generate_synthetic(spec):
     """The generator as an out-of-place chain of full-size arrays: gather the
     class means, add the noise, shuffle, clip, rescale, mask."""
     rng = np.random.default_rng(spec.seed)
@@ -176,8 +176,8 @@ def reference_generate_synthetic(spec, name="synthetic"):
     train_mask = np.zeros(n, dtype=bool)
     for c in range(spec.num_classes):
         train_mask[np.flatnonzero(labels == c)[: spec.train_per_class]] = True
-    return (Dataset(features[train_mask], labels[train_mask], name, spec.num_classes),
-            Dataset(features[~train_mask], labels[~train_mask], name, spec.num_classes))
+    return (Dataset(features[train_mask], labels[train_mask]),
+            Dataset(features[~train_mask], labels[~train_mask]))
 
 
 def assert_same_split(actual, expected):
@@ -203,8 +203,8 @@ class TestSynthetic:
         assert_same_split(generate_synthetic(spec), reference_generate_synthetic(spec))
 
     def test_synthmnist_equals_reference(self):
-        assert_same_split(generate_synthetic(SYNTH_MNIST, "synthmnist"),
-                          reference_generate_synthetic(SYNTH_MNIST, "synthmnist"))
+        assert_same_split(generate_synthetic(SYNTH_MNIST),
+                          reference_generate_synthetic(SYNTH_MNIST))
 
     def test_split_is_one_buffer(self):
         train, test = generate_synthetic(SyntheticSpec(3, 10, 4, 5, seed=1))
@@ -214,7 +214,7 @@ class TestSynthetic:
         # numpy reports its data buffers to tracemalloc.
         tracemalloc.start()
         try:
-            split = generate_synthetic(SYNTH_MNIST, "synthmnist")
+            split = generate_synthetic(SYNTH_MNIST)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -237,11 +237,11 @@ class TestSynthetic:
     def test_linearly_separable(self):
         # Central training of a bare linear softmax is the separability oracle.
         ds, _ = generate_synthetic(SyntheticSpec(3, 40, 1, 2, seed=1))
-        spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=3, init_seed=0)
+        spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=3)
         cfg = LocalOptimizerConfig(kind="adam", learning_rate=0.05,
                                    batch_size=30, local_epochs=60)
         trained = train_local(
-            init_model(spec), spec, ds.features, ds.labels, cfg,
+            init_model(spec, 0), spec, ds.features, ds.labels, cfg,
             np.random.default_rng(0),
         )
         acc, _ = evaluate_centralized(trained, spec, ds.features, ds.labels)
@@ -267,7 +267,7 @@ class TestRegistry:
         train, test = load_dataset("synthmnist")
         assert train.features.shape == (10 * SYNTH_MNIST.train_per_class, 784)
         assert test.features.shape == (10 * SYNTH_MNIST.test_per_class, 784)
-        assert train.num_classes == 10
+        assert np.unique(train.labels).tolist() == list(range(10))
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown dataset"):
@@ -311,11 +311,12 @@ class TestDatasetShape:
     ))
     def test_synthetic_shape_is_what_loads(self, spec):
         for ds in load_dataset("synthetic", synthetic=spec):
-            assert dataset_shape("synthetic", spec) == (ds.features.shape[1], ds.num_classes)
+            assert dataset_shape("synthetic", spec) == (ds.features.shape[1],
+                                                        len(np.unique(ds.labels)))
 
     def test_synthmnist_shape_is_what_loads(self):
         for ds in load_dataset("synthmnist"):
-            assert dataset_shape("synthmnist") == (ds.features.shape[1], ds.num_classes)
+            assert dataset_shape("synthmnist") == (ds.features.shape[1], len(np.unique(ds.labels)))
         assert dataset_shape("synthetic") == dataset_shape("synthetic", SyntheticSpec())
 
     def test_idx_width_other_than_the_table_rejected(self, tmp_path):
@@ -328,6 +329,26 @@ class TestDatasetShape:
             write_idx_labels(root / lab_name, rng.integers(0, 10, size=4))
         with pytest.raises(IngestionError, match="25 features, expected 784"):
             load_dataset("mnist", data_dir=tmp_path)
+
+    def test_idx_label_beyond_the_class_count_rejected(self, tmp_path):
+        root = tmp_path / "mnist"
+        root.mkdir()
+        for img_name, lab_name in fedbench.data.IDX_FILES.values():
+            write_idx_images(root / img_name, np.zeros((3, 28, 28), dtype=np.uint8))
+            write_idx_labels(root / lab_name, [0, 9, 9])
+        write_idx_labels(root / fedbench.data.IDX_FILES["test"][1], [0, 10, 9])
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(root))}: mnist labels outside"):
+            load_dataset("mnist", data_dir=tmp_path)
+
+    def test_cifar_label_beyond_the_class_count_rejected(self, tmp_path):
+        root = tmp_path / "cifar10"
+        root.mkdir()
+        record = bytes([3]) + bytes(3072)
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            (root / name).write_bytes(record)
+        (root / "data_batch_2.bin").write_bytes(record + bytes([10]) + bytes(3072))
+        with pytest.raises(IngestionError, match=f"^{re.escape(str(root))}: cifar10 labels"):
+            load_dataset("cifar10", data_dir=tmp_path)
 
 
 SMALL = SyntheticSpec(num_classes=3, train_per_class=20, test_per_class=5,

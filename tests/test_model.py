@@ -48,9 +48,9 @@ def random_instance(rng, spec, batch=8):
 
 class TestParamCount:
     def test_tiny_linear(self):
-        spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=2, init_seed=7)
+        spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=2)
         assert spec.param_count() == 2 * 2 + 2 == 6
-        assert init_model(spec).shape == (6,)
+        assert init_model(spec, 7).shape == (6,)
 
     def test_mnist_mlp(self):
         spec = ModelSpec(input_dim=784, hidden_dims=[128], output_classes=10)
@@ -65,17 +65,17 @@ class TestParamCount:
 
 class TestInit:
     def test_deterministic(self):
-        spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=2, init_seed=7)
-        assert np.array_equal(init_model(spec), init_model(spec))
+        spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=2)
+        assert np.array_equal(init_model(spec, 7), init_model(spec, 7))
 
     def test_seed_changes_weights(self):
-        a = init_model(ModelSpec(4, [3], 2, init_seed=0))
-        b = init_model(ModelSpec(4, [3], 2, init_seed=1))
+        a = init_model(ModelSpec(4, [3], 2), 0)
+        b = init_model(ModelSpec(4, [3], 2), 1)
         assert not np.array_equal(a, b)
 
     def test_biases_zero(self):
-        spec = ModelSpec(input_dim=3, hidden_dims=[], output_classes=2, init_seed=5)
-        params = init_model(spec)
+        spec = ModelSpec(input_dim=3, hidden_dims=[], output_classes=2)
+        params = init_model(spec, 5)
         assert np.array_equal(params[6:], np.zeros(2))
 
 
@@ -90,8 +90,8 @@ class TestLoss:
         assert grad.shape == params.shape
 
     def test_fresh_init_is_near_log_k(self):
-        spec = ModelSpec(input_dim=784, hidden_dims=[128], output_classes=10, init_seed=3)
-        params = init_model(spec)
+        spec = ModelSpec(input_dim=784, hidden_dims=[128], output_classes=10)
+        params = init_model(spec, 3)
         rng = np.random.default_rng(1)
         x = rng.uniform(size=(64, 784))
         y = rng.integers(0, 10, size=64)
@@ -204,18 +204,18 @@ class TestOptimizers:
 
 class TestLocalTraining:
     def test_trajectory_determinism(self):
-        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3, init_seed=1)
+        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3)
         rng = np.random.default_rng(9)
         x = rng.uniform(size=(40, 4))
         y = rng.integers(0, 3, size=40)
         cfg = LocalOptimizerConfig(kind="adam", batch_size=8, local_epochs=2)
-        params = init_model(spec)
+        params = init_model(spec, 1)
         out1 = train_local(params, spec, x, y, cfg, np.random.default_rng(77))
         out2 = train_local(params, spec, x, y, cfg, np.random.default_rng(77))
         assert np.array_equal(out1, out2)
 
     def test_training_reduces_loss(self):
-        spec = ModelSpec(input_dim=4, hidden_dims=[8], output_classes=3, init_seed=2)
+        spec = ModelSpec(input_dim=4, hidden_dims=[8], output_classes=3)
         rng = np.random.default_rng(10)
         x = rng.uniform(size=(90, 4))
         y = rng.integers(0, 3, size=90)
@@ -223,7 +223,7 @@ class TestLocalTraining:
         x[y == 1, 1] += 2.0
         x[y == 2, 2] += 2.0
         cfg = LocalOptimizerConfig(kind="adam", learning_rate=0.01, local_epochs=10)
-        params = init_model(spec)
+        params = init_model(spec, 2)
         before, _ = forward_loss_grad(params, spec, x, y)
         trained = train_local(params, spec, x, y, cfg, np.random.default_rng(0))
         after, _ = forward_loss_grad(trained, spec, x, y)
@@ -231,12 +231,12 @@ class TestLocalTraining:
         assert params.shape == trained.shape
 
     def test_prox_term_pulls_toward_center(self):
-        spec = ModelSpec(input_dim=4, hidden_dims=[6], output_classes=3, init_seed=4)
+        spec = ModelSpec(input_dim=4, hidden_dims=[6], output_classes=3)
         rng = np.random.default_rng(12)
         x = rng.uniform(size=(60, 4))
         y = rng.integers(0, 3, size=60)
         cfg = LocalOptimizerConfig(kind="adam", local_epochs=3)
-        center = init_model(spec)
+        center = init_model(spec, 4)
         free = train_local(center, spec, x, y, cfg, np.random.default_rng(3))
         pinned = train_local(
             center, spec, x, y, cfg, np.random.default_rng(3),
@@ -356,12 +356,12 @@ class TestInPlaceSteps:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_train_local_matches_out_of_place(self, kind, prox_mu, batch_size, seed):
-        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3, init_seed=1)
+        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3)
         rng = np.random.default_rng(seed)
         x = rng.uniform(size=(20, 4))
         y = rng.integers(0, 3, size=20)
         x.flags.writeable = y.flags.writeable = False  # as the cached split
-        params = init_model(spec)
+        params = init_model(spec, 1)
         center = params + rng.normal(scale=0.1, size=params.shape)
         params_before, center_before = params.copy(), center.copy()
         cfg = LocalOptimizerConfig(kind=kind, learning_rate=0.05,
@@ -399,10 +399,10 @@ class TestInPlaceSteps:
             assert state.step == 0 and not state.m.any() and not state.v.any()
 
     def test_train_local_raises_on_non_finite_gradient(self):
-        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3, init_seed=1)
+        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3)
         x = np.full((6, 4), 0.5)
         x[3, 1] = np.nan
-        params = init_model(spec)
+        params = init_model(spec, 1)
         before = params.copy()
         for kind in ("sgd", "adam"):
             with pytest.raises(NumericError):
@@ -411,7 +411,7 @@ class TestInPlaceSteps:
         assert np.array_equal(params, before)
 
     def test_forward_loss_grad_writes_into_out(self):
-        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3, init_seed=1)
+        spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3)
         rng = np.random.default_rng(4)
         params, x, y = random_instance(rng, spec)
         out = np.full_like(params, np.nan)

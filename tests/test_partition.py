@@ -33,12 +33,7 @@ def client_label_skew(assignments, labels, num_classes):
 
 def label_dataset(labels):
     labels = np.asarray(labels, dtype=np.int64)
-    return Dataset(
-        features=np.zeros((len(labels), 1)),
-        labels=labels,
-        name="labels-only",
-        num_classes=int(labels.max()) + 1,
-    )
+    return Dataset(features=np.zeros((len(labels), 1)), labels=labels)
 
 
 def balanced_dataset(num_classes, per_class):
@@ -65,13 +60,13 @@ GOLDEN_ALPHA05_SEED42 = np.array([
 class TestIid:
     def test_equal_split(self):
         ds = balanced_dataset(10, 10)  # 100 samples
-        part = partition(ds.labels, PartitionSpec(mode="iid", seed=0), 10)
+        part = partition(ds.labels, PartitionSpec(mode="iid"), 10, 0)
         assert sizes(part) == [10] * 10
         _check_cover(part, 100)
 
     def test_near_equal_when_not_divisible(self):
         ds = balanced_dataset(5, 21)  # 105 samples over 10 clients
-        part = partition(ds.labels, PartitionSpec(mode="iid", seed=1), 10)
+        part = partition(ds.labels, PartitionSpec(mode="iid"), 10, 1)
         counts = sizes(part)
         assert max(counts) - min(counts) <= 1
         assert sum(counts) == 105
@@ -80,14 +75,14 @@ class TestIid:
 class TestDirichlet:
     def test_huge_alpha_is_near_uniform(self):
         ds = balanced_dataset(10, 100)  # 1000 samples
-        part = partition(ds.labels, PartitionSpec(mode="dirichlet", alpha=1e6, seed=3), 10)
+        part = partition(ds.labels, PartitionSpec(mode="dirichlet", alpha=1e6), 10, 3)
         counts = class_counts(part, ds.labels, 10)
         proportions = counts / counts.sum(axis=1, keepdims=True)
         assert np.max(np.abs(proportions - 0.1)) < 0.02
 
     def test_golden_fixture(self):
         ds = balanced_dataset(10, 6000)
-        part = partition(ds.labels, PartitionSpec(mode="dirichlet", alpha=0.5, seed=42), 10)
+        part = partition(ds.labels, PartitionSpec(mode="dirichlet", alpha=0.5), 10, 42)
         counts = class_counts(part, ds.labels, 10)
         assert np.array_equal(counts, GOLDEN_ALPHA05_SEED42)
         # Skew sanity the fixture was audited for.
@@ -100,16 +95,16 @@ class TestDirichlet:
         for alpha in (0.1, 0.5, 100.0):
             skews = []
             for seed in range(20):
-                spec = PartitionSpec(mode="dirichlet", alpha=alpha, seed=seed)
-                part = partition(ds.labels, spec, 10)
+                spec = PartitionSpec(mode="dirichlet", alpha=alpha)
+                part = partition(ds.labels, spec, 10, seed)
                 skews.append(client_label_skew(part, ds.labels, 10))
             means[alpha] = float(np.mean(skews))
         assert means[0.1] > means[0.5] > means[100.0]
 
     def test_every_client_nonempty_under_extreme_skew(self):
         ds = balanced_dataset(2, 10)  # 20 samples, extreme alpha
-        spec = PartitionSpec(mode="dirichlet", alpha=0.01, seed=5)
-        part = partition(ds.labels, spec, 10)
+        spec = PartitionSpec(mode="dirichlet", alpha=0.01)
+        part = partition(ds.labels, spec, 10, 5)
         assert min(sizes(part)) >= 1
         _check_cover(part, 20)
 
@@ -121,20 +116,16 @@ class TestInvariants:
         for _ in range(100):
             mode = "iid" if rng.random() < 0.5 else "dirichlet"
             num_clients = int(rng.integers(1, 15))
-            spec = PartitionSpec(
-                mode=mode,
-                alpha=float(10 ** rng.uniform(-1.5, 2)),
-                seed=int(rng.integers(0, 2**32)),
-            )
-            part = partition(ds.labels, spec, num_clients)
+            spec = PartitionSpec(mode=mode, alpha=float(10 ** rng.uniform(-1.5, 2)))
+            part = partition(ds.labels, spec, num_clients, int(rng.integers(0, 2**32)))
             _check_cover(part, 280)
             assert min(sizes(part)) >= 1
 
     def test_deterministic(self):
         ds = balanced_dataset(4, 25)
-        spec = PartitionSpec(mode="dirichlet", alpha=0.3, seed=9)
-        a = partition(ds.labels, spec, 6)
-        b = partition(ds.labels, spec, 6)
+        spec = PartitionSpec(mode="dirichlet", alpha=0.3)
+        a = partition(ds.labels, spec, 6, 9)
+        b = partition(ds.labels, spec, 6, 9)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -143,9 +134,9 @@ class TestErrors:
     def test_more_clients_than_samples(self):
         ds = balanced_dataset(2, 2)
         with pytest.raises(ConfigError, match="at least one"):
-            partition(ds.labels, PartitionSpec(mode="iid", seed=0), 5)
+            partition(ds.labels, PartitionSpec(mode="iid"), 5, 0)
         with pytest.raises(ConfigError, match="cannot give 0 clients"):
-            partition(ds.labels, PartitionSpec(mode="iid", seed=0), 0)
+            partition(ds.labels, PartitionSpec(mode="iid"), 0, 0)
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
@@ -165,9 +156,9 @@ class TestErrors:
         _check_cover([np.array([2, 0]), np.array([1])], 3)
 
     def test_empty_dataset(self):
-        ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), "empty", 1)
+        ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64))
         with pytest.raises(ConfigError):
-            partition(ds.labels, PartitionSpec(mode="iid", seed=0), 1)
+            partition(ds.labels, PartitionSpec(mode="iid"), 1, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -180,4 +171,4 @@ class TestErrors:
     def test_negative_label_rejected(self, labels, mode, num_clients):
         labels = np.array(labels, dtype=np.int64)
         with pytest.raises(ConfigError, match=f"got {labels.min()}$"):
-            partition(labels, PartitionSpec(mode=mode, seed=0), num_clients)
+            partition(labels, PartitionSpec(mode=mode), num_clients, 0)

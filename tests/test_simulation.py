@@ -29,11 +29,14 @@ from fedbench.data import load_dataset
 from fedbench.model import forward_loss_grad, init_model
 from fedbench.partition import partition
 from fedbench.simulation import (
+    _TAG_MODEL_INIT,
+    _TAG_PARTITION,
     _TAG_SUBSET,
     ClientShard,
     RowView,
     _transfer,
     derived_rng,
+    derived_seed,
     evaluate_centralized,
     replica_seed,
     run_round,
@@ -74,7 +77,7 @@ def make_shards(rng, num_clients, per_client, dim, classes):
 class TestRunRound:
     def setup_round(self, num_clients=3):
         rng = np.random.default_rng(0)
-        spec = ModelSpec(input_dim=6, hidden_dims=[5], output_classes=3, init_seed=1)
+        spec = ModelSpec(input_dim=6, hidden_dims=[5], output_classes=3)
         shards = make_shards(rng, num_clients, 12, 6, 3)
         eval_x = rng.uniform(size=(30, 6))
         eval_y = rng.integers(0, 3, size=30)
@@ -82,7 +85,7 @@ class TestRunRound:
 
     def test_single_client_round_adopts_client_weights(self):
         spec, shards, eval_x, eval_y = self.setup_round(num_clients=1)
-        params = init_model(spec)
+        params = init_model(spec, 1)
         strategy = Strategy(StrategyConfig(kind="fedavg"))
         new_params, metrics = run_round(
             params, shards, strategy, 1,
@@ -102,14 +105,14 @@ class TestRunRound:
         spec, _, eval_x, eval_y = self.setup_round()
         with pytest.raises(ConfigError, match="at least one client"):
             run_round(
-                init_model(spec), [], Strategy(StrategyConfig(kind="fedavg")), 1,
+                init_model(spec, 1), [], Strategy(StrategyConfig(kind="fedavg")), 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
                 eval_features=eval_x, eval_labels=eval_y,
             )
 
     def test_zero_lr_leaves_model_and_accuracy_unchanged(self):
         spec, shards, eval_x, eval_y = self.setup_round()
-        params = init_model(spec)
+        params = init_model(spec, 1)
         acc_before, loss_before = evaluate_centralized(params, spec, eval_x, eval_y)
         strategy = Strategy(StrategyConfig(kind="fedavg"))
         new_params, metrics = run_round(
@@ -131,7 +134,7 @@ class TestRunRound:
                 return super().aggregate(global_params, updates, rng=rng)
 
         run_round(
-            init_model(spec), shards, Recorder(StrategyConfig(kind="fedavg")), 1,
+            init_model(spec, 1), shards, Recorder(StrategyConfig(kind="fedavg")), 1,
             cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
             eval_features=eval_x, eval_labels=eval_y,
         )
@@ -140,7 +143,7 @@ class TestRunRound:
     def test_timing_fields_positive(self):
         spec, shards, eval_x, eval_y = self.setup_round()
         _, metrics = run_round(
-            init_model(spec), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
+            init_model(spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
             cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
             eval_features=eval_x, eval_labels=eval_y,
         )
@@ -153,7 +156,7 @@ class TestRunRound:
         shards[2].features[0, 0] = np.nan
         with pytest.raises(NumericError, match="client 2.*round 1"):
             run_round(
-                init_model(spec), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
+                init_model(spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
                 eval_features=eval_x, eval_labels=eval_y,
             )
@@ -175,7 +178,7 @@ class TestRunRound:
         with pytest.raises(NumericError,
                            match="client 1 produced non-finite parameters in round 1"):
             run_round(
-                init_model(spec), shards, strategy, 1,
+                init_model(spec, 1), shards, strategy, 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
                 eval_features=eval_x, eval_labels=eval_y,
             )
@@ -190,7 +193,7 @@ class TestRunRound:
         with pytest.raises(NumericError,
                            match="aggregation produced non-finite parameters in round 1"):
             run_round(
-                init_model(spec), shards, strategy, 1,
+                init_model(spec, 1), shards, strategy, 1,
                 cfg=ExperimentConfig(model=spec, master_seed=5,
                                      local=LocalOptimizerConfig(kind="sgd", learning_rate=10.0)),
                 eval_features=eval_x, eval_labels=eval_y,
@@ -200,7 +203,7 @@ class TestRunRound:
         spec, shards, eval_x, eval_y = self.setup_round()
         strategy = Strategy(StrategyConfig(kind="dp"))
         _, metrics = run_round(
-            init_model(spec), shards, strategy, 1,
+            init_model(spec, 1), shards, strategy, 1,
             cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
             eval_features=eval_x, eval_labels=eval_y,
         )
@@ -214,7 +217,7 @@ class TestRunRound:
                             lambda *args: (0.5, loss))
         with pytest.raises(NumericError, match="non-finite loss in round 1"):
             run_round(
-                init_model(spec), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
+                init_model(spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
                 eval_features=eval_x, eval_labels=eval_y,
             )
@@ -248,12 +251,12 @@ class TestEvaluate:
 class TestClientRows:
     def test_training_on_a_row_view_equals_training_on_a_copy(self):
         rng = np.random.default_rng(5)
-        spec = ModelSpec(input_dim=6, hidden_dims=[5], output_classes=3, init_seed=1)
+        spec = ModelSpec(input_dim=6, hidden_dims=[5], output_classes=3)
         base, rows = rng.uniform(size=(40, 6)), rng.permutation(40)[:25]
         labels = rng.integers(0, 3, size=25)
         shard = ClientShard(0, RowView(base, rows), labels)
         assert len(shard.features) == 25
-        params = init_model(spec)
+        params = init_model(spec, 1)
         cfg = LocalOptimizerConfig(kind="adam", learning_rate=0.01, batch_size=4)
         trained = [
             train_local(params, spec, features, labels, cfg, np.random.default_rng(0))
@@ -402,9 +405,10 @@ class TestRunExperiment:
         rows = np.arange(n)
         if train_subset is not None and train_subset < n:
             rows = derived_rng(seed, _TAG_SUBSET, 0).permutation(n)[:train_subset]
-        model = result.config.model
-        w0 = init_model(model)
-        shards = partition(train.labels[rows], result.config.partition, num_clients)
+        model = cfg.model
+        w0 = init_model(model, derived_seed(seed, _TAG_MODEL_INIT))
+        shards = partition(train.labels[rows], cfg.partition, num_clients,
+                           derived_seed(seed, _TAG_PARTITION))
         clients = []
         for idx in shards:
             w = w0.copy()
@@ -446,8 +450,8 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg)
         train, test = load_dataset("synthetic", synthetic=cfg.synthetic)
-        model, server = result.config.model, result.config.strategy
-        w = init_model(model)
+        model, server = cfg.model, cfg.strategy
+        w = init_model(model, derived_seed(seed, _TAG_MODEL_INIT))
         m, v = np.zeros_like(w), np.zeros_like(w)
         for metrics in result.metrics:
             _, grad = forward_loss_grad(w, model, train.features, train.labels)
@@ -477,8 +481,7 @@ class TestRunExperiment:
         before = copy.deepcopy(cfg)
         result = run_experiment(cfg)
         assert cfg == before
-        assert result.config.model.init_seed is not None
-        assert result.config.partition.seed is not None
+        assert result.config is cfg
 
     def test_clients_train_serially_on_calling_thread(self, monkeypatch):
         threads = []
