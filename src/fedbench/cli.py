@@ -22,7 +22,7 @@ from pathlib import Path
 from .config import parse_config, run_id_for
 from .errors import ConfigError, ExperimentAborted, FedbenchError
 from .results import write_results, write_summary
-from .simulation import ExperimentConfig, replica_seed, run_experiment
+from .simulation import ExperimentConfig, default_client_threads, replica_seed, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,15 +74,15 @@ def _expand_runs(
     return runs
 
 
-def _execute_one(args: tuple[ExperimentConfig, str, int, str]) -> str | None:
+def _execute_one(args: tuple[ExperimentConfig, str, int, str, int]) -> str | None:
     """Run one experiment and write its files; returns its error, or None."""
-    cfg, run_id, replicate, out_dir = args
+    cfg, run_id, replicate, out_dir, client_threads = args
     run_dir = Path(out_dir) / run_id
     try:
         # A rerun that fails before writing must leave none of an earlier run's files.
         if run_dir.exists():
             shutil.rmtree(run_dir)
-        write_results(run_experiment(cfg), run_id, out_dir, replicate)
+        write_results(run_experiment(cfg, client_threads), run_id, out_dir, replicate)
     except ExperimentAborted as err:
         # Flush the rounds that completed before the failure.
         write_results(err.result, run_id, out_dir, replicate, error=str(err))
@@ -106,14 +106,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as err:
         raise ConfigError(f"cannot create output directory {out_dir}: {err}") from err
 
-    jobs = [(cfg, run_id, rep, str(out_dir)) for cfg, run_id, rep in runs]
+    workers = min(args.jobs, len(runs))
+    # The workers share the cores: each trains its clients on its share of them.
+    client_threads = max(1, default_client_threads() // workers)
+    jobs = [(cfg, run_id, rep, str(out_dir), client_threads) for cfg, run_id, rep in runs]
     print(f"running {len(jobs)} experiment(s) -> {out_dir}")
     failures = []
-    workers = min(args.jobs, len(jobs))
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # Both maps yield in grid order, so progress prints in grid order.
         errors = (map if pool is None else pool.map)(_execute_one, jobs)
-        for (_, run_id, _, _), error in zip(jobs, errors):
+        for (_, run_id, *_), error in zip(jobs, errors):
             print(f"  {run_id}: {'ok' if error is None else f'FAILED: {error}'}", flush=True)
             if error is not None:
                 failures.append((run_id, error))

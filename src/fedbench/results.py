@@ -28,7 +28,7 @@ from . import __version__
 from .config import config_to_dict, run_identity, run_name
 from .errors import ConfigError
 from .partition import GENERATOR_NAME
-from .simulation import ExperimentConfig, ExperimentResult, RoundMetrics
+from .simulation import ExperimentConfig, ExperimentResult, RoundMetrics, blas_threads
 
 _IDENTITY_COLUMNS = ["run_id", *run_identity(ExperimentConfig())]
 
@@ -92,6 +92,8 @@ def write_results(
         # Learning columns are bit-identical only for one BLAS build and
         # thread count, so both are recorded.
         "blas": _blas_build(),
+        "blas_threads": blas_threads(),
+        "client_threads": result.client_threads,
         "thread_env": {k: os.environ.get(k) for k in _THREAD_VARS},
         "rng": GENERATOR_NAME,
         "train_size": result.train_size,

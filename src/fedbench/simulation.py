@@ -2,14 +2,23 @@
 evaluation, and per-round metric capture.
 
 Learning metrics (accuracy, loss) are a pure function of the experiment
-configuration; timing metrics are measured wall time and exempt from the
-determinism contract.
+configuration; timing metrics are measured times (clients' thread CPU time,
+aggregation's wall time) and exempt from the determinism contract.
+
+Importing this module sets the process's thread policy: OpenBLAS runs one
+thread, and a run trains its clients on a pool of one thread per usable core
+instead (see blas_threads and default_client_threads).
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 import time
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +49,56 @@ _TAG_SUBSET = 4
 _TAG_PARTITION = 5
 _TAG_MODEL_INIT = 6
 _TAG_REPLICA = 7
+
+# glibc's mallopt parameter for the most malloc arenas a process may keep.
+_M_ARENA_MAX = -8
+# Rows per evaluation chunk: one forward pass's activations stay small.
+_EVAL_CHUNK = 1024
+
+
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy's wheel bundles, if it has the thread setter."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        if (hasattr(lib, "scipy_openblas_set_num_threads64_")
+                and hasattr(lib, "scipy_openblas_get_num_threads64_")):
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            return lib
+    return None
+
+
+_OPENBLAS = _openblas()
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count as the library reports it; None when it cannot be read."""
+    return None if _OPENBLAS is None else _OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+def _set_thread_policy() -> None:
+    """One BLAS thread, so that client threads cannot oversubscribe the cores,
+    and one malloc arena, so that each client thread does not keep its own."""
+    if _OPENBLAS is not None:
+        _OPENBLAS.scipy_openblas_set_num_threads64_(1)
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
+
+
+_set_thread_policy()
+
+
+def default_client_threads() -> int:
+    """Usable cores when BLAS runs one thread; else 1, as serial clients
+    cannot oversubscribe the cores. (Only Linux wheels bundle the OpenBLAS
+    found above, and Linux has sched_getaffinity.)"""
+    return len(os.sched_getaffinity(0)) if blas_threads() == 1 else 1
 
 
 def derived_rng(*entropy: int) -> np.random.Generator:
@@ -146,6 +205,7 @@ class ExperimentResult:
     strategy_state: StrategyState
     train_size: int
     eval_size: int
+    client_threads: int  # threads the run's clients trained on
 
 
 def train_local(
@@ -186,30 +246,39 @@ def train_local(
 
 
 def evaluate_centralized(
-    params: Array, spec: ModelSpec, features: Array, labels: Array, chunk: int = 1024
+    params: Array, spec: ModelSpec, features: Array, labels: Array, pool: Executor | None = None
 ) -> tuple[float, float]:
-    """Accuracy (argmax-correct fraction) and mean cross-entropy on a test set."""
-    if features.shape[0] == 0:
+    """Accuracy (argmax-correct fraction) and mean cross-entropy on a test set.
+
+    Chunks of rows may be scored on pool; their partial sums are added in
+    chunk order, so the result does not depend on it.
+    """
+    n = features.shape[0]
+    if n == 0:
         raise ConfigError("evaluation set is empty")
-    correct = 0
-    loss_sum = 0.0
-    for start in range(0, features.shape[0], chunk):
-        x = features[start : start + chunk]
-        y = labels[start : start + chunk]
+
+    def score(start: int) -> tuple[int, float]:
+        x = features[start : start + _EVAL_CHUNK]
+        y = labels[start : start + _EVAL_CHUNK]
         logits = forward_logits(params, spec, x)
         log_probs = _log_softmax(logits)
-        loss_sum += float(-log_probs[np.arange(len(y)), y].sum())
-        correct += int((logits.argmax(axis=1) == y).sum())
-    n = features.shape[0]
+        loss = float(-log_probs[np.arange(len(y)), y].sum())
+        return int((logits.argmax(axis=1) == y).sum()), loss
+
+    correct = 0
+    loss_sum = 0.0
+    for hits, loss in (map if pool is None else pool.map)(score, range(0, n, _EVAL_CHUNK)):
+        correct += hits
+        loss_sum += loss
     return correct / n, loss_sum / n
 
 
 def _transfer(params: Array) -> tuple[Array, float]:
     """Simulated transfer of one parameter vector: serialize, deserialize.
-    Returns the received copy and the seconds it took."""
-    t0 = time.perf_counter()
+    Returns the received copy and the thread CPU seconds it took."""
+    t0 = time.thread_time()
     received = np.frombuffer(params.tobytes(), dtype=params.dtype).copy()
-    return received, time.perf_counter() - t0
+    return received, time.thread_time() - t0
 
 
 def run_round(
@@ -220,22 +289,24 @@ def run_round(
     cfg: ExperimentConfig,
     eval_features: Array,
     eval_labels: Array,
+    pool: Executor | None = None,
 ) -> tuple[Array, RoundMetrics]:
     """Execute one communication round and measure the paper-style metrics.
 
     cfg is the run's config: it supplies the model, the client
-    optimizer, the master seed and the adversary. Clients train one after
-    another in the calling thread, so train_time_s is the sum of the clients'
-    broadcast-to-reply times (transfers included) and comm_time_s the sum of
-    their downlink and uplink transfer times.
+    optimizer, the master seed and the adversary. Clients train on pool, or
+    one after another in the calling thread without one; their replies are
+    checked, corrupted and aggregated in client order either way. A
+    client's times are its thread's CPU time, so waiting for a core does not
+    count: train_time_s is the sum of the clients' broadcast-to-reply times
+    (transfers included) and comm_time_s the sum of their downlink and
+    uplink transfer times.
     """
     if not clients:
         raise ConfigError("round needs at least one client")
 
-    updates = []
-    train_time = comm_time = 0.0
-    for shard in clients:
-        start = time.perf_counter()
+    def train_client(shard: ClientShard) -> tuple[Array, float, float]:
+        start = time.thread_time()
         local_params, down = _transfer(global_params)
         rng = derived_rng(cfg.master_seed, round_idx, shard.client_id, _TAG_TRAIN)
         try:
@@ -246,13 +317,21 @@ def run_round(
                 f"client {shard.client_id} failed in round {round_idx}: {err}"
             ) from err
         received, up = _transfer(trained)
-        train_time += time.perf_counter() - start
-        comm_time += down + up
-
+        busy = time.thread_time() - start
         if not np.all(np.isfinite(received)):
             raise NumericError(
                 f"client {shard.client_id} produced non-finite parameters in round {round_idx}"
             )
+        return received, busy, down + up
+
+    updates = []
+    train_time = comm_time = 0.0
+    # Both maps yield in client order and raise a client's error at its place
+    # in that order; pool.map then cancels the clients not yet started.
+    replies = (map if pool is None else pool.map)(train_client, clients)
+    for shard, (received, busy, transfers) in zip(clients, replies):
+        train_time += busy
+        comm_time += transfers
         update = ClientUpdate(shard.client_id, new_params=received, num_samples=len(shard.labels))
         adversary_rng = derived_rng(cfg.master_seed, round_idx, shard.client_id, _TAG_ADVERSARY)
         updates.append(corrupt(update, cfg.adversary, global_params, adversary_rng))
@@ -266,7 +345,7 @@ def run_round(
     if not np.all(np.isfinite(new_params)):
         raise NumericError(f"aggregation produced non-finite parameters in round {round_idx}")
 
-    acc, loss = evaluate_centralized(new_params, cfg.model, eval_features, eval_labels)
+    acc, loss = evaluate_centralized(new_params, cfg.model, eval_features, eval_labels, pool)
     if not np.isfinite(loss):
         raise NumericError(f"evaluation produced a non-finite loss in round {round_idx}")
     metrics = RoundMetrics(
@@ -289,14 +368,21 @@ def _subset(n: int, count: int | None, rng: np.random.Generator) -> slice | Arra
     return rng.permutation(n)[:count]
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, client_threads: int | None = None) -> ExperimentResult:
     """Run the full round loop for one configuration.
 
+    Clients train on up to client_threads threads (default:
+    default_client_threads()); the learning results do not depend on it.
     Configuration problems surface before round 1. Any FedbenchError raised
     in a round is re-raised as ExperimentAborted, carrying the result of the
     rounds completed before it.
     """
     cfg.validate()
+    if client_threads is None:
+        client_threads = default_client_threads()
+    if client_threads < 1:
+        raise ConfigError(f"client_threads must be >= 1, got {client_threads}")
+    workers = min(client_threads, cfg.num_clients)
     train, test = load_dataset(cfg.dataset, cfg.data_dir, cfg.synthetic)
 
     rows = np.arange(len(train))[
@@ -325,15 +411,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         strategy_state=strategy.state,
         train_size=len(rows),
         eval_size=eval_x.shape[0],
+        client_threads=workers,
     )
-    for round_idx in range(1, cfg.rounds + 1):
-        try:
-            global_params, record = run_round(
-                global_params, shards, strategy, round_idx, cfg, eval_x, eval_y
-            )
-        except FedbenchError as err:
-            raise ExperimentAborted(str(err), result) from err
-        result.metrics.append(record)
-        result.final_params = global_params
-        result.strategy_state = strategy.state
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for round_idx in range(1, cfg.rounds + 1):
+            try:
+                global_params, record = run_round(
+                    global_params, shards, strategy, round_idx, cfg, eval_x, eval_y, pool
+                )
+            except FedbenchError as err:
+                raise ExperimentAborted(str(err), result) from err
+            result.metrics.append(record)
+            result.final_params = global_params
+            result.strategy_state = strategy.state
     return result

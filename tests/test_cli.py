@@ -13,7 +13,7 @@ import pytest
 from fedbench.cli import _expand_runs, main
 from fedbench.config import config_from_dict, config_to_dict, parse_config
 from fedbench.errors import FedbenchError
-from fedbench.simulation import run_experiment
+from fedbench.simulation import blas_threads, default_client_threads, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -156,11 +156,11 @@ def test_unexpected_error_fails_only_its_run(tmp_path, capsys, monkeypatch):
     # Any exception, not only a FedbenchError, fails just the run that raised it.
     calls = []
 
-    def second_run_raises(cfg):
+    def second_run_raises(cfg, client_threads=None):
         calls.append(cfg)
         if len(calls) == 2:
             raise RuntimeError("boom")
-        return run_experiment(cfg)
+        return run_experiment(cfg, client_threads)
 
     monkeypatch.setattr("fedbench.cli.run_experiment", second_run_raises)
     path = tmp_path / "exp.ini"
@@ -243,6 +243,22 @@ def test_run_parallel_jobs(config_path, tmp_path, capsys):
     out = capsys.readouterr().out
     for run_id in ["fedavg_synthetic_iid_rep0", "fedmedian_synthetic_iid_rep0"]:
         assert f"  {run_id}: ok\n" in out
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS thread count is not readable")
+def test_parallel_jobs_run_one_blas_thread_and_match_serial(config_path, tmp_path):
+    serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+    for out_dir, jobs in ((serial, "1"), (parallel, "2")):
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir),
+                     "--jobs", jobs]) == 0
+    learning = lambda path: [row[:8] for row in csv.reader(path.read_text().splitlines())]
+    for run_id in ["fedavg_synthetic_iid_rep0", "fedmedian_synthetic_iid_rep0"]:
+        # Read in the forked worker that ran the run, after its clients trained.
+        metadata = json.loads((parallel / run_id / "run.json").read_text())["metadata"]
+        assert metadata["blas_threads"] == 1
+        assert metadata["client_threads"] == min(max(1, default_client_threads() // 2), 3)
+        assert learning(parallel / run_id / "rounds.csv") == \
+            learning(serial / run_id / "rounds.csv")
 
 
 def test_seed_override_changes_results(config_path, tmp_path):
@@ -383,7 +399,7 @@ def test_rerun_failing_before_writing_leaves_no_stale_summary(tmp_path, capsys, 
     out_dir = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
 
-    def unreadable(cfg):
+    def unreadable(cfg, client_threads=None):
         raise FedbenchError("dataset unreadable")
 
     # The rerun fails before it writes anything of its own.

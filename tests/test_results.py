@@ -28,6 +28,7 @@ from fedbench import (
 )
 from fedbench.config import config_from_dict, run_id_for
 from fedbench.results import _fmt, summarize_rounds
+from fedbench.simulation import blas_threads
 
 # The output formats, written out: the columns derive from RoundMetrics and
 # summarize_rounds, so a renamed field must show up here as a format change.
@@ -41,8 +42,8 @@ ROUND_KEYS = ["round", "acc", "loss", "agg_time_s", "train_time_s", "comm_time_s
 SUMMARY_KEYS = ["rounds", "final_acc", "final_loss",
                 "mean_agg_time_s", "mean_train_time_s", "mean_comm_time_s",
                 "run_id", "strategy", "dataset", "partition_mode", "alpha", "replicate"]
-METADATA_KEYS = {"fedbench_version", "numpy_version", "python_version", "blas", "thread_env",
-                 "rng", "train_size", "eval_size", "finished_at"}
+METADATA_KEYS = {"fedbench_version", "numpy_version", "python_version", "blas", "blas_threads",
+                 "client_threads", "thread_env", "rng", "train_size", "eval_size", "finished_at"}
 
 
 def small_config(**overrides):
@@ -177,6 +178,9 @@ class TestRunJson:
         assert metadata["thread_env"] == {
             "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "3",
         }
+        # The count the library reports, not the environment's.
+        assert metadata["blas_threads"] == blas_threads()
+        assert metadata["client_threads"] == result.client_threads
         assert metadata["fedbench_version"] == fedbench.__version__
 
     def test_package_version_is_fedbench_version(self):

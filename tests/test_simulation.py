@@ -1,9 +1,11 @@
 """Round loop: timing capture, determinism, participation, failure handling."""
 
 import copy
+import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ import fedbench.simulation
 from fedbench.data import load_dataset
 from fedbench.model import forward_loss_grad, init_model
 from fedbench.partition import partition
+from fedbench.strategies import STRATEGY_KINDS
 from fedbench.simulation import (
     _TAG_MODEL_INIT,
     _TAG_PARTITION,
@@ -164,26 +167,25 @@ class TestRunRound:
     def test_non_finite_client_params_rejected_before_aggregation(self, monkeypatch):
         spec, shards, eval_x, eval_y = self.setup_round()
         real_train_local = fedbench.simulation.train_local
-        calls = []
 
-        def overflowing_client_1(params, *args, **kwargs):
-            calls.append(args[1])
+        def overflowing_clients_1_and_2(params, *args, **kwargs):
             trained = real_train_local(params, *args, **kwargs)
             if args[1] is shards[1].features:
+                time.sleep(0.05)  # client 2 fails first in time, not in client order
+            if args[1] is not shards[0].features:
                 trained[3] = np.inf
             return trained
 
-        monkeypatch.setattr(fedbench.simulation, "train_local", overflowing_client_1)
+        monkeypatch.setattr(fedbench.simulation, "train_local", overflowing_clients_1_and_2)
         strategy = Strategy(StrategyConfig(kind="fedavg"))
-        with pytest.raises(NumericError,
-                           match="client 1 produced non-finite parameters in round 1"):
+        with ThreadPoolExecutor(3) as pool, pytest.raises(
+                NumericError, match="client 1 produced non-finite parameters in round 1"):
             run_round(
                 init_model(spec, 1), shards, strategy, 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-                eval_features=eval_x, eval_labels=eval_y,
+                eval_features=eval_x, eval_labels=eval_y, pool=pool,
             )
         assert strategy.state.round_index == 0
-        assert len(calls) == 2  # the round stops at client 1; client 2 never trains
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_aggregate_aborts_round(self):
@@ -241,6 +243,15 @@ class TestEvaluate:
         acc, loss = evaluate_centralized(params, spec, x, y)
         assert abs(loss - np.log(10.0)) < 1e-12
         assert abs(acc - 0.1) < 1e-12  # ties resolve to class 0, which is 10%
+
+    def test_chunks_on_a_pool_give_the_serial_result_bit_for_bit(self):
+        spec = ModelSpec(input_dim=6, hidden_dims=[5], output_classes=3)
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(2500, 6)), rng.integers(0, 3, size=2500)  # three chunks
+        params = init_model(spec, 4)
+        with ThreadPoolExecutor(2) as pool:
+            assert evaluate_centralized(params, spec, x, y, pool) == \
+                evaluate_centralized(params, spec, x, y)
 
     def test_empty_eval_set_rejected(self):
         spec = ModelSpec(input_dim=2, hidden_dims=[], output_classes=2)
@@ -483,22 +494,48 @@ class TestRunExperiment:
         assert cfg == before
         assert result.config is cfg
 
-    def test_clients_train_serially_on_calling_thread(self, monkeypatch):
-        threads = []
+    @pytest.mark.parametrize("client_threads", [2, 3])
+    def test_clients_train_on_at_most_client_threads(self, client_threads, monkeypatch):
+        threads = set()
         real_train_local = fedbench.simulation.train_local
 
-        def slow_train_local(*args, **kwargs):
-            threads.append(threading.current_thread())
-            time.sleep(0.005)
+        def busy_train_local(*args, **kwargs):
+            threads.add(threading.get_ident())
+            # Spend 5 ms of this thread's CPU time, which train_time_s counts.
+            end = time.thread_time() + 0.005
+            while time.thread_time() < end:
+                pass
             return real_train_local(*args, **kwargs)
 
-        monkeypatch.setattr(fedbench.simulation, "train_local", slow_train_local)
+        monkeypatch.setattr(fedbench.simulation, "train_local", busy_train_local)
         cfg = tiny_config(rounds=2)
-        result = run_experiment(cfg)
-        assert threads == [threading.main_thread()] * (cfg.num_clients * cfg.rounds)
-        # Serial clients: a round's train time covers every client's sleep.
+        result = run_experiment(cfg, client_threads)
+        assert result.client_threads == client_threads
+        assert 1 <= len(threads) <= client_threads
+        assert threading.main_thread().ident not in threads
         for m in result.metrics:
             assert m.train_time_s >= cfg.num_clients * 0.005
+        serial = run_experiment(cfg, 1)
+        learning = lambda r: [(m.round, m.acc, m.loss, m.clip_norm) for m in r.metrics]
+        assert learning(result) == learning(serial)
+        assert np.array_equal(result.final_params, serial.final_params)
+
+    def test_one_client_thread_trains_on_the_calling_thread(self, monkeypatch):
+        threads = set()
+        real_train_local = fedbench.simulation.train_local
+
+        def recording_train_local(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return real_train_local(*args, **kwargs)
+
+        monkeypatch.setattr(fedbench.simulation, "train_local", recording_train_local)
+        assert run_experiment(tiny_config(rounds=1), 1).client_threads == 1
+        assert threads == {threading.main_thread().ident}
+
+    def test_client_threads_capped_by_clients_and_checked(self):
+        assert run_experiment(tiny_config(rounds=1), 64).client_threads == 4
+        with pytest.raises(ConfigError, match="client_threads must be >= 1"):
+            run_experiment(tiny_config(rounds=1), 0)
 
     @pytest.mark.parametrize("field, model", [
         ("input_dim", ModelSpec(5, [16], 3)),
@@ -520,6 +557,35 @@ class TestRunExperiment:
         ExperimentConfig().validate()  # the default model fits the default dataset
         with pytest.raises(ConfigError, match="unknown dataset 'nope'"):
             ExperimentConfig(dataset="nope").validate()
+
+
+def _outcome(cfg, client_threads):
+    """The learning results of a run, as bytes and reprs, aborted or not."""
+    try:
+        result, error = run_experiment(cfg, client_threads), None
+    except ExperimentAborted as err:
+        result, error = err.result, str(err)
+    state = {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+             for k, v in vars(result.strategy_state).items()}
+    rounds = [(m.round, repr(m.acc), repr(m.loss), repr(m.clip_norm)) for m in result.metrics]
+    return rounds, result.final_params.tobytes(), state, error
+
+
+class TestClientThreads:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(STRATEGY_KINDS), mode=st.sampled_from(["iid", "dirichlet"]),
+           seed=st.integers(0, 2**16))
+    def test_learning_results_do_not_depend_on_client_threads(self, kind, mode, seed):
+        cfg = tiny_config(strategy=StrategyConfig(kind=kind), master_seed=seed, rounds=2,
+                          partition=PartitionSpec(mode=mode, alpha=0.5))
+        serial = _outcome(cfg, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the client threads finely
+        try:
+            assert _outcome(cfg, 2) == serial
+            assert _outcome(cfg, 3) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReplicaSeeds:
