@@ -11,11 +11,11 @@ Exit codes: 0 success, 1 configuration error, 2 runtime or numeric failure.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures  # loads ProcessPoolExecutor (multiprocessing) on first use
 import copy
 import shutil
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -112,7 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     jobs = [(cfg, run_id, rep, str(out_dir), client_threads) for cfg, run_id, rep in runs]
     print(f"running {len(jobs)} experiment(s) -> {out_dir}")
     failures = []
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # Both maps yield in grid order, so progress prints in grid order.
         errors = (map if pool is None else pool.map)(_execute_one, jobs)
         for (_, run_id, *_), error in zip(jobs, errors):

@@ -19,6 +19,7 @@ import datetime
 import json
 import os
 import platform
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -47,6 +48,18 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temporary name beside path (np.savez keeps its suffix), moved onto
+    path once the body has written it: path never holds a partial file."""
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _blas_build() -> dict:
@@ -117,15 +130,17 @@ def write_results(
     run_dir = Path(out_dir) / run_id
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
-        with open(run_dir / "rounds.csv", "w", newline="") as fh:
+        # run.json goes last: a run directory without it holds no finished run.
+        with _replacing(run_dir / "state.npz") as tmp:
+            np.savez(tmp, **state_arrays, final_params=result.final_params)
+        with _replacing(run_dir / "rounds.csv") as tmp, open(tmp, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(ROUNDS_COLUMNS)
             for r in result.metrics:
                 writer.writerow(identity + [_fmt(getattr(r, c)) for c in _METRIC_COLUMNS])
-        with open(run_dir / "run.json", "w") as fh:
+        with _replacing(run_dir / "run.json") as tmp, open(tmp, "w") as fh:
             json.dump(run, fh, indent=2)
             fh.write("\n")
-        np.savez(run_dir / "state.npz", **state_arrays, final_params=result.final_params)
     except OSError as err:
         raise ConfigError(f"cannot write results under {run_dir}: {err}") from err
     return run_dir
@@ -155,7 +170,7 @@ def write_summary(out_dir: str | Path) -> Path:
     if not rows:
         raise ConfigError(f"no completed runs under {out_dir}")
     rows.sort(key=lambda r: (str(r["run_id"]), r["replicate"]))
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows + _mean_rows(rows):

@@ -50,8 +50,11 @@ _TAG_PARTITION = 5
 _TAG_MODEL_INIT = 6
 _TAG_REPLICA = 7
 
-# glibc's mallopt parameter for the most malloc arenas a process may keep.
+# glibc's mallopt parameters: the most malloc arenas a process may keep, the
+# size from which a block is mmapped, and the free heap top kept before trimming.
 _M_ARENA_MAX = -8
+_M_MMAP_THRESHOLD = -3
+_M_TRIM_THRESHOLD = -1
 # Rows per evaluation chunk: one forward pass's activations stay small.
 _EVAL_CHUNK = 1024
 
@@ -80,8 +83,11 @@ def blas_threads() -> int | None:
 
 
 def _set_thread_policy() -> None:
-    """One BLAS thread, so that client threads cannot oversubscribe the cores,
-    and one malloc arena, so that each client thread does not keep its own."""
+    """One BLAS thread, so that client threads cannot oversubscribe the cores;
+    one malloc arena, so that each client thread does not keep its own; and
+    blocks under 16 MB from a heap that keeps 32 MB free, so rounds do not fault
+    their parameter vectors in afresh (glibc's dynamic thresholds rise only after
+    a block that large is freed)."""
     if _OPENBLAS is not None:
         _OPENBLAS.scipy_openblas_set_num_threads64_(1)
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
@@ -89,6 +95,8 @@ def _set_thread_policy() -> None:
         mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
         mallopt.restype = ctypes.c_int
         mallopt(_M_ARENA_MAX, 1)
+        mallopt(_M_MMAP_THRESHOLD, 16 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 32 << 20)
 
 
 _set_thread_policy()

@@ -3,13 +3,17 @@
 import csv
 import gzip
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedbench.cli
 from fedbench.cli import _expand_runs, main
 from fedbench.config import config_from_dict, config_to_dict, parse_config
 from fedbench.errors import FedbenchError
@@ -214,12 +218,21 @@ def test_pool_starts_no_more_workers_than_runs(config_path, tmp_path, monkeypatc
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("fedbench.cli.ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
     rc = main([
         "run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--jobs", "3",
     ])
     assert rc == 0
     assert started == [2]  # the TINY grid has 2 runs
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Only --jobs > 1 starts a process pool; a serial run never needs multiprocessing.
+    src = Path(fedbench.cli.__file__).resolve().parents[1]
+    code = "import sys, fedbench.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("flags", [

@@ -5,12 +5,14 @@ import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedbench.results
 import fedbench.simulation
 from fedbench import (
     ConfigError,
@@ -191,6 +193,51 @@ class TestRunJson:
         assert "version" not in config["project"]
         assert "version" in config["project"]["dynamic"]
         assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "fedbench.__version__"}
+
+
+class TestAtomicWrites:
+    """A result file reaches its final name whole or not at all, and no
+    temporary file outlives a failed write."""
+
+    def test_failed_run_json_write_leaves_no_partial_file(self, written_run, tmp_path,
+                                                          monkeypatch):
+        _, result, _, _ = written_run
+
+        def dump_partway(obj, fh, **kwargs):
+            fh.write('{"run_id": ')
+            raise OSError("disk full")
+
+        done = write_results(result, "done_rep0", tmp_path)
+        finished = (done / "run.json").read_bytes()
+        monkeypatch.setattr(fedbench.results, "json", SimpleNamespace(dump=dump_partway))
+        for run_id in ["new_rep0", "done_rep0"]:
+            with pytest.raises(ConfigError, match="disk full"):
+                write_results(result, run_id, tmp_path)
+        # state.npz and rounds.csv are written first and whole; run.json last.
+        assert sorted(p.name for p in (tmp_path / "new_rep0").iterdir()) == [
+            "rounds.csv", "state.npz"]
+        assert sorted(p.name for p in done.iterdir()) == ["rounds.csv", "run.json", "state.npz"]
+        assert (done / "run.json").read_bytes() == finished
+        with np.load(tmp_path / "new_rep0" / "state.npz") as state:
+            assert np.array_equal(state["final_params"], result.final_params)
+        with open(tmp_path / "new_rep0" / "rounds.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + len(result.metrics)
+
+    def test_failed_summary_write_leaves_no_summary(self, written_run, tmp_path, monkeypatch):
+        _, result, _, _ = written_run
+        write_results(result, "run_rep0", tmp_path)
+        write_summary(tmp_path)
+        cells = iter(range(5))  # the header row is written, then the sixth cell fails
+
+        def fmt_partway(value):
+            if next(cells, None) is None:
+                raise OSError("disk full")
+            return _fmt(value)
+
+        monkeypatch.setattr(fedbench.results, "_fmt", fmt_partway)
+        with pytest.raises(OSError, match="disk full"):
+            write_summary(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run_rep0"]
 
 
 class TestDeterminism:

@@ -1,6 +1,9 @@
 """Round loop: timing capture, determinism, participation, failure handling."""
 
 import copy
+import ctypes
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -586,6 +589,30 @@ class TestClientThreads:
             assert _outcome(cfg, 3) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.mark.skipif(os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="needs glibc's mallopt")
+def test_round_sized_blocks_are_not_faulted_in_afresh():
+    # Eight 1 MB blocks allocated and freed 40 times, as a round's parameter
+    # vectors are: with glibc's default thresholds the freed heap top is
+    # trimmed each time and its 2,048 pages fault in again (about 80,000 faults).
+    code = """
+import resource, numpy as np, fedbench.simulation
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+blocks = [np.ones(1 << 17) for _ in range(8)]
+del blocks
+start = faults()
+for _ in range(40):
+    blocks = [np.ones(1 << 17) for _ in range(8)]
+    del blocks
+print(faults() - start)
+"""
+    src = os.path.dirname(os.path.dirname(fedbench.simulation.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert int(proc.stdout) < 2048
 
 
 class TestReplicaSeeds:

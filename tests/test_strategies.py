@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fedbench import (
     Strategy,
     StrategyConfig,
 )
-from fedbench.strategies import STRATEGY_KINDS, dp_clip, pseudo_gradient
+from fedbench.strategies import _MEDIAN_BLOCK, STRATEGY_KINDS, _median, pseudo_gradient
 
 
 def updates_from(w_t, deltas, num_samples=None):
@@ -79,6 +80,45 @@ def naive_weighted_mean(params_list, num_samples):
             acc += w * float(p[j])
         out[j] = acc
     return out
+
+
+def stacked_median(w_t, params_list):
+    """The median as one sort of all K client models stacked, minus w_t: the
+    blocked implementation must give these bits."""
+    s = np.stack(params_list)
+    s.sort(axis=0)
+    k = len(params_list)
+    mid = s[k // 2] if k % 2 else (s[k // 2 - 1] + s[k // 2]) / 2
+    np.copyto(mid, np.nan, where=np.isnan(s[-1]))  # the sort puts NaNs last
+    return mid - w_t
+
+
+def dp_clip(update_delta, clip_norm):
+    """Scale the delta onto the L2 ball of radius clip_norm; also return
+    whether its norm was already within the ball."""
+    if clip_norm <= 0:
+        raise ConfigError(f"clip norm must be > 0, got {clip_norm}")
+    norm = float(np.linalg.norm(update_delta))
+    if norm <= clip_norm:
+        return update_delta.copy(), True
+    return update_delta * (clip_norm / norm), False
+
+
+def dp_clip_loop(w_t, updates, cfg, clip, rng):
+    """The dp aggregate as a loop over dp_clip: the new global model and the
+    next clip norm."""
+    k = len(updates)
+    mean_clipped = np.zeros_like(w_t)
+    below = 0
+    for u in updates:
+        clipped, was_below = dp_clip(u.new_params - w_t, clip)
+        below += was_below
+        mean_clipped += clipped / k
+    noise_std = cfg.dp_noise_multiplier * clip / k
+    if noise_std > 0:
+        mean_clipped = mean_clipped + rng.normal(0.0, noise_std, size=w_t.shape)
+    new_clip = clip * float(np.exp(-cfg.dp_clip_lr * (below / k - cfg.dp_target_quantile)))
+    return w_t + mean_clipped, new_clip
 
 
 def sort_median(params_list):
@@ -360,6 +400,32 @@ class TestFedMedian:
             want = np.median(np.stack(params), axis=0)
         assert np.array_equal(out, want, equal_nan=True)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, _MEDIAN_BLOCK - 1, _MEDIAN_BLOCK, _MEDIAN_BLOCK + 1,
+                            2 * _MEDIAN_BLOCK + 3]) | st.integers(1, 3 * _MEDIAN_BLOCK),
+           st.integers(1, 25), st.integers(0, 2**32 - 1), st.floats(0.0, 0.5))
+    def test_matches_np_median_across_blocks(self, dim, k, seed, special_share):
+        """Widths on and around the block edges: the blocked median equals
+        np.median, and its delta is bit for bit that of one sort of the
+        stacked client models, signed zeros and NaN payloads included."""
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan])
+        stacked = rng.normal(scale=1e3, size=(k, dim))
+        stacked[:, ::3] = np.round(stacked[:, ::3] / 500)  # ties
+        spots = rng.random((k, dim)) < special_share
+        stacked[spots] = rng.choice(special, size=int(spots.sum()))
+        params = list(stacked)
+        w_t = rng.normal(size=dim)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
+                w_t, updates_with_params(params)
+            )
+            want = w_t + (np.median(stacked, axis=0) - w_t)
+            delta, _ = _median(w_t, updates_with_params(params), None, None, None)
+            ref = stacked_median(w_t, params)
+        assert np.array_equal(out, want, equal_nan=True)
+        assert delta.tobytes() == ref.tobytes()
+
 
 class TestFedProx:
     def test_server_side_is_fedavg(self):
@@ -475,6 +541,28 @@ class TestDpAggregate:
         assert np.array_equal(w_t, [1.0, -2.0])
         assert_unchanged(updates, before)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 300), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 10.0), st.sampled_from([0.0, 0.3, 1.0]), st.data())
+    def test_matches_dp_clip_loop(self, k, dim, seed, clip, noise, data):
+        """Delta and next clip norm equal the loop over dp_clip bit for bit,
+        with client norms below, near and above the clip, noise on or off."""
+        rng = np.random.default_rng(seed)
+        w_t = rng.normal(size=dim)
+        ratios = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.01, 5.0),
+                                    min_size=k, max_size=k))
+        params = []
+        for ratio in ratios:  # a delta of norm ratio * clip
+            direction = rng.normal(size=dim)
+            params.append(w_t + direction * (ratio * clip / np.linalg.norm(direction)))
+        cfg = self.cfg(dp_noise_multiplier=noise, dp_initial_clip=clip)
+        strategy = Strategy(cfg)
+        out = strategy.aggregate(w_t, updates_with_params(params), np.random.default_rng(seed))
+        want, want_clip = dp_clip_loop(w_t, updates_with_params(params), cfg, clip,
+                                       np.random.default_rng(seed))
+        assert out.tobytes() == want.tobytes()
+        assert strategy.state.clip_norm == want_clip
+
 
 class TestSharedProperties:
     def strategies(self):
@@ -544,6 +632,26 @@ class TestSharedProperties:
         stacked = np.stack(honest)
         assert np.all(stacked.min(axis=0) <= out)
         assert np.all(out <= stacked.max(axis=0))
+
+    @pytest.mark.parametrize("kind, vectors_bound", [
+        ("fedmedian", 20 / 4),  # a quarter of the K x P stack the median used to sort
+        ("dp", 2.5),  # the running mean and one scratch vector
+    ])
+    def test_aggregate_peak_memory(self, kind, vectors_bound):
+        """Peak traced allocation of one aggregate at 20 clients x 101,770
+        parameters, in parameter vectors of P * 8 bytes."""
+        rng = np.random.default_rng(7)
+        p = 101_770
+        w_t = rng.normal(size=p)
+        updates = updates_with_params([w_t + rng.normal(scale=0.01, size=p) for _ in range(20)])
+        strategy = Strategy(StrategyConfig(kind=kind))
+        tracemalloc.start()
+        try:
+            strategy.aggregate(w_t, updates, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vectors_bound * p * 8, peak
 
     def test_reduction_chain_to_fedavg(self):
         rng = np.random.default_rng(101)
