@@ -78,21 +78,23 @@ def _execute_one(args: tuple[ExperimentConfig, str, int, str, int]) -> str | Non
     """Run one experiment and write its files; returns its error, or None."""
     cfg, run_id, replicate, out_dir, client_threads = args
     run_dir = Path(out_dir) / run_id
+    aborted = failure = None
     try:
         # A rerun that fails before writing must leave none of an earlier run's files.
         if run_dir.exists():
             shutil.rmtree(run_dir)
-        write_results(run_experiment(cfg, client_threads), run_id, out_dir, replicate)
-    except ExperimentAborted as err:
-        # Flush the rounds that completed before the failure.
-        write_results(err.result, run_id, out_dir, replicate, error=str(err))
-        return str(err)
+        try:
+            result = run_experiment(cfg, client_threads)
+        except ExperimentAborted as err:  # flush the rounds completed before the failure
+            result, aborted = err.result, str(err)
+        write_results(result, run_id, out_dir, replicate, error=aborted)
     except FedbenchError as err:
-        return str(err)
+        failure = str(err)
     except Exception as err:  # a defect: keep its traceback, and fail only this run
         traceback.print_exc()
-        return f"{type(err).__name__}: {err}"
-    return None
+        failure = f"{type(err).__name__}: {err}"
+    # An aborted run whose flush failed reports both errors.
+    return "; ".join(filter(None, [aborted, failure])) or None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -103,12 +103,14 @@ def _read_sections(parser: configparser.ConfigParser) -> dict[str, dict]:
 def parse_config(path: str | Path) -> list[ExperimentConfig]:
     """Parse an experiment file into one config per grid combination."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
-    except configparser.Error as err:
+        parser.read_string(path.read_text(encoding="utf-8-sig"), str(path))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot read: {err.strerror or err}") from None
+    except (UnicodeDecodeError, configparser.Error) as err:
         raise ConfigError(f"{path}: {err}") from None
     given = _read_sections(parser)
     axes = [given[section].pop(field, [getattr(_SECTIONS[section][0], field)])

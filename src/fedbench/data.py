@@ -79,25 +79,32 @@ SYNTH_MNIST = SyntheticSpec(
 )
 
 # (feature width, class count) of each dataset, which the loaded files must
-# match. synthetic (None) takes both from its SyntheticSpec.
+# match. The generated datasets (None) take both from their SyntheticSpec.
 _SHAPES = {
     "mnist": (784, 10),
     "fmnist": (784, 10),
     "cifar10": (3072, 10),
     "synthetic": None,
-    "synthmnist": (SYNTH_MNIST.input_dim, SYNTH_MNIST.num_classes),
+    "synthmnist": None,
 }
 DATASET_NAMES = tuple(_SHAPES)
+
+
+def _generator_spec(name: str, synthetic: SyntheticSpec | None) -> SyntheticSpec | None:
+    """The settings a generated dataset is drawn with; None for a file dataset."""
+    if name == "synthmnist":
+        return SYNTH_MNIST
+    if name == "synthetic":
+        return synthetic if synthetic is not None else SyntheticSpec()
+    return None
 
 
 def dataset_shape(name: str, synthetic: SyntheticSpec | None = None) -> tuple[int, int]:
     """(input_dim, num_classes) of a dataset; synthetic reads its spec, as load_dataset does."""
     if name not in _SHAPES:
         raise ConfigError(f"unknown dataset {name!r}, expected one of {DATASET_NAMES}")
-    if name == "synthetic":
-        spec = synthetic if synthetic is not None else SyntheticSpec()
-        return spec.input_dim, spec.num_classes
-    return _SHAPES[name]
+    spec = _generator_spec(name, synthetic)
+    return _SHAPES[name] if spec is None else (spec.input_dim, spec.num_classes)
 
 
 # Noise values beyond this many sigmas from the class-mean range are clipped
@@ -153,28 +160,25 @@ def load_idx_dataset(images_path: str | os.PathLike, labels_path: str | os.PathL
             f"{images_path} has {images.shape[0]} images but "
             f"{labels_path} has {labels.shape[0]} labels"
         )
-    features = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return Dataset(features, labels.astype(np.int64))
+    # The header's width, not -1, which numpy rejects for 0 rows.
+    pixels = images.reshape(len(images), int(np.prod(images.shape[1:])))
+    return Dataset(pixels / 255.0, labels.astype(np.int64))
 
 
 def load_cifar10(data_dir: str | os.PathLike, split: str = "train") -> Dataset:
     """CIFAR-10 binary batches: 1 label byte + 3072 pixel bytes per record."""
     root = Path(data_dir)
-    names = (
-        [f"data_batch_{i}.bin" for i in range(1, 6)]
-        if split == "train"
-        else ["test_batch.bin"]
-    )
-    feats, labs = [], []
+    names = ([f"data_batch_{i}.bin" for i in range(1, 6)] if split == "train"
+             else ["test_batch.bin"])
+    batches = []
     for fname in names:
         path = root / fname
-        raw = np.frombuffer(_read_bytes(path), dtype=np.uint8)
-        if raw.size % 3073 != 0:
-            raise IngestionError(f"{path}: size {raw.size} not a multiple of 3073")
-        records = raw.reshape(-1, 3073)
-        labs.append(records[:, 0].astype(np.int64))
-        feats.append(records[:, 1:].astype(np.float64) / 255.0)
-    return Dataset(np.concatenate(feats), np.concatenate(labs))
+        batches.append(_read_bytes(path))
+        if len(batches[-1]) % 3073 != 0:
+            raise IngestionError(f"{path}: size {len(batches[-1])} not a multiple of 3073")
+    records = np.frombuffer(b"".join(batches), np.uint8).reshape(-1, 3073)
+    # One division of the joined bytes: it casts them in chunks, making no float copy.
+    return Dataset(records[:, 1:] / 255.0, records[:, 0].astype(np.int64))
 
 
 def _class_means(
@@ -255,26 +259,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
             Dataset(features[len(train_rows) :], labels[test_rows]))
 
 
-# The last generated split, keyed by the spec's fields. A grid varies the
-# dataset in its outermost axis, so one entry serves every run of a dataset.
-_last_split: tuple[tuple, tuple[Dataset, Dataset]] | None = None
-
-
-def _generate_split(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
-    """generate_synthetic's split, cached for the process with read-only
-    arrays, so every caller sees the same data."""
-    global _last_split
-    key = astuple(spec)
-    if _last_split is not None and _last_split[0] == key:
-        return _last_split[1]
-    split = generate_synthetic(spec)
-    for ds in split:
-        ds.features.flags.writeable = False
-        ds.labels.flags.writeable = False
-    _last_split = (key, split)
-    return split
-
-
 def _idx_pair(root: Path, split: str) -> tuple[Path, Path]:
     images_name, labels_name = IDX_FILES[split]
     for suffix in ("", ".gz"):
@@ -293,6 +277,11 @@ def resolve_data_dir(data_dir: str | None) -> Path | None:
     return Path(env) if env else None
 
 
+# (key, split) of the last load. A grid varies the dataset in its outermost
+# axis, so one entry serves every run of a dataset.
+_last_split: tuple[tuple, tuple[Dataset, Dataset]] | None = None
+
+
 def load_dataset(
     name: str,
     data_dir: str | None = None,
@@ -303,32 +292,39 @@ def load_dataset(
     mnist/fmnist/cifar10 read files from <data_dir>/<name>/ (FEDBENCH_DATA_DIR
     is the fallback location). synthetic uses the provided SyntheticSpec;
     synthmnist is the fixed 784-dim surrogate used when MNIST is absent.
-    Loaded files must match the dataset's width and class count.
+    Loaded files must match the dataset's width and class count. The split's
+    arrays are read-only, since every later caller in the process shares them.
     """
+    global _last_split
     width, classes = dataset_shape(name, synthetic)
-    if name == "synthetic":
-        return _generate_split(synthetic or SyntheticSpec())
-    if name == "synthmnist":
-        return _generate_split(SYNTH_MNIST)
-
-    root = resolve_data_dir(data_dir)
-    if root is None:
-        raise IngestionError(
-            f"dataset {name!r} needs --data-dir or FEDBENCH_DATA_DIR"
-        )
-    base = root / name if (root / name).is_dir() else root
-    if name == "cifar10":
-        train, test = load_cifar10(base, "train"), load_cifar10(base, "test")
+    spec = _generator_spec(name, synthetic)
+    root = resolve_data_dir(data_dir) if spec is None else None
+    key = (name, root if spec is None else astuple(spec))
+    if _last_split is not None and _last_split[0] == key:
+        return _last_split[1]
+    _last_split = None  # free the old split before the new one loads
+    if spec is not None:
+        split = generate_synthetic(spec)
+    elif root is None:
+        raise IngestionError(f"dataset {name!r} needs --data-dir or FEDBENCH_DATA_DIR")
     else:
-        train, test = (load_idx_dataset(*_idx_pair(base, split)) for split in ("train", "test"))
-    for ds in (train, test):
-        if ds.features.shape[1] != width:
-            raise IngestionError(
-                f"{base}: {name} images have {ds.features.shape[1]} features, expected {width}"
-            )
-        # The loaders read labels as unsigned bytes, so none is negative.
-        if len(ds) and ds.labels.max() >= classes:
-            raise IngestionError(
-                f"{base}: {name} labels outside [0, {classes}): found {ds.labels.max()}"
-            )
-    return train, test
+        base = root / name if (root / name).is_dir() else root
+        if name == "cifar10":
+            split = load_cifar10(base, "train"), load_cifar10(base, "test")
+        else:
+            split = tuple(load_idx_dataset(*_idx_pair(base, part)) for part in ("train", "test"))
+        for ds in split:
+            if ds.features.shape[1] != width:
+                raise IngestionError(
+                    f"{base}: {name} images have {ds.features.shape[1]} features, expected {width}"
+                )
+            # The loaders read labels as unsigned bytes, so none is negative.
+            if len(ds) and ds.labels.max() >= classes:
+                raise IngestionError(
+                    f"{base}: {name} labels outside [0, {classes}): found {ds.labels.max()}"
+                )
+    for ds in split:
+        ds.features.flags.writeable = False
+        ds.labels.flags.writeable = False
+    _last_split = (key, split)
+    return split

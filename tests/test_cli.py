@@ -8,16 +8,19 @@ import shutil
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedbench.cli
+import fedbench.data
 from fedbench.cli import _expand_runs, main
 from fedbench.config import config_from_dict, config_to_dict, parse_config
-from fedbench.errors import FedbenchError
+from fedbench.errors import ConfigError, FedbenchError
 from fedbench.simulation import blas_threads, default_client_threads, run_experiment
+from test_data import write_cifar_files, write_mnist_files
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,6 +61,24 @@ EXPLODES = (
         .replace("learning_rate = 0.01", "learning_rate = 1e300")
         .replace("[local]", "[local]\noptimizer = sgd")
 )
+
+# Two strategies over both kinds of dataset file: dataset is the outer grid axis.
+FILE_GRID = """
+[experiment]
+dataset = mnist, cifar10
+rounds = 2
+num_clients = 3
+master_seed = 3
+
+[partition]
+mode = iid
+
+[strategy]
+kind = fedavg, fedmedian
+
+[local]
+learning_rate = 0.01
+"""
 
 
 @pytest.fixture
@@ -154,6 +175,64 @@ def test_corrupt_dataset_file_fails_only_its_run(damage, tmp_path, capsys):
     assert f"  fedavg_mnist_iid_rep0: FAILED: {train_images}: {reason}" in out
     with open(out_dir / "summary.csv", newline="") as fh:
         assert [r["run_id"] for r in csv.DictReader(fh)] == ["fedavg_synthetic_iid_rep0"]
+
+
+def test_empty_idx_split_fails_its_run_without_a_traceback(tmp_path, capsys):
+    mnist = tmp_path / "data" / "mnist"
+    mnist.mkdir(parents=True)
+    for prefix, n in (("train", 0), ("t10k", 2)):
+        (mnist / f"{prefix}-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x803, n, 28, 28) + bytes(n * 784))
+        (mnist / f"{prefix}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, n) + bytes(n))
+    path = tmp_path / "exp.ini"
+    path.write_text(FILE_GRID.replace("mnist, cifar10", "mnist").replace("fedavg, fedmedian", "fedavg"))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--data-dir", str(tmp_path / "data")]) == 2
+    captured = capsys.readouterr()
+    assert "  fedavg_mnist_iid_rep0: FAILED: cannot partition an empty dataset" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_file_datasets_run_reading_each_file_once(tmp_path, capsys, monkeypatch):
+    data_dir, rng = tmp_path / "data", np.random.default_rng(11)
+    write_mnist_files(data_dir / "mnist", rng, sizes=(36, 12))
+    write_cifar_files(data_dir / "cifar10", rng, per_batch=8)
+    path = tmp_path / "exp.ini"
+    path.write_text(FILE_GRID)
+    reads = Counter()
+    real_read = fedbench.data._read_bytes
+
+    def counting_read(file):
+        reads[file] += 1
+        return real_read(file)
+
+    monkeypatch.setattr(fedbench.data, "_read_bytes", counting_read)
+    monkeypatch.setattr(fedbench.data, "_last_split", None)
+    warm = tmp_path / "warm"
+    assert main(["run", "--config", str(path), "--out", str(warm), "--data-dir", str(data_dir)]) == 0
+    run_ids = [f"{kind}_{dataset}_iid_rep0"
+               for dataset in ("mnist", "cifar10") for kind in ("fedavg", "fedmedian")]
+    out = capsys.readouterr().out
+    assert all(f"  {run_id}: ok\n" in out for run_id in run_ids)
+    assert len(reads) == 10 and set(reads.values()) == {1}
+
+    # Every run of the second invocation starts from a cold cache.
+    def cold_run(cfg, client_threads=None):
+        fedbench.data._last_split = None
+        return run_experiment(cfg, client_threads)
+
+    monkeypatch.setattr("fedbench.cli.run_experiment", cold_run)
+    cold = tmp_path / "cold"
+    assert main(["run", "--config", str(path), "--out", str(cold), "--data-dir", str(data_dir)]) == 0
+    assert set(reads.values()) == {3}
+
+    def learning(out_dir, run_id):
+        with open(out_dir / run_id / "rounds.csv", newline="") as fh:
+            return [{k: v for k, v in row.items() if not k.endswith("_time_s")}
+                    for row in csv.DictReader(fh)]
+
+    for run_id in run_ids:
+        assert learning(warm, run_id) == learning(cold, run_id)
 
 
 def test_unexpected_error_fails_only_its_run(tmp_path, capsys, monkeypatch):
@@ -442,6 +521,43 @@ def test_unremovable_old_run_fails_only_that_run(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "  fedavg_synthetic_iid_rep0: FAILED: PermissionError: read-only\n" in out
     assert "  fedmedian_synthetic_iid_rep0: ok\n" in out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_abort_flush_fails_only_its_run(tmp_path, capsys, monkeypatch):
+    real_write = fedbench.cli.write_results
+
+    def aborted_write_fails(*args, error=None):
+        if error is not None:
+            raise ConfigError("cannot write results: disk full")
+        return real_write(*args)
+
+    monkeypatch.setattr("fedbench.cli.write_results", aborted_write_fails)
+    path = tmp_path / "exp.ini"
+    # fedavgm aborts in round 3, then fedavg completes.
+    path.write_text(ONE_ABORTS_PARTWAY.replace("kind = fedavg, fedavgm", "kind = fedavgm, fedavg"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+    out = capsys.readouterr().out
+    assert "  fedavg_synthetic_iid_rep0: ok\n" in out
+    (failed,) = [line for line in out.splitlines() if line.startswith("  fedavgm_")]
+    assert "non-finite" in failed and failed.endswith("; cannot write results: disk full")
+    with open(out_dir / "summary.csv", newline="") as fh:
+        assert [r["run_id"] for r in csv.DictReader(fh)] == ["fedavg_synthetic_iid_rep0"]
+
+
+def _random_bytes(path):
+    path.write_bytes(np.random.default_rng(0).bytes(256))
+
+
+@pytest.mark.parametrize("make", [Path.mkdir, _random_bytes], ids=["directory", "binary"])
+def test_config_that_is_not_a_text_file_exits_1(make, tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    make(path)
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(path)]) == 1
+        assert f"config error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exits_1(tmp_path):

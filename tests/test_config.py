@@ -149,6 +149,11 @@ dataset = synthmnist, synthetic
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.ini")
 
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        path = tmp_path / "bom.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + BASELINE.encode())
+        assert parse_config(path) == parse_config(write(tmp_path, BASELINE))
+
     @pytest.mark.parametrize("text, match", [
         # Passed parsing once, then failed every run of the grid.
         (BASELINE + "[model]\nhidden_dims = 0\n", "model.hidden_dims"),

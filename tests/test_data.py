@@ -4,6 +4,8 @@ import gzip
 import re
 import struct
 import tracemalloc
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from fedbench import (
 )
 from fedbench.data import (
     _NOISE_TRUNCATION,
+    DATASET_NAMES,
     SYNTH_MNIST,
     Dataset,
     _class_means,
@@ -62,6 +65,40 @@ def idx_pair(tmp_path):
     write_idx_images(img_path, images)
     write_idx_labels(lab_path, labels)
     return img_path, lab_path, images, labels
+
+
+CIFAR_BATCHES = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+
+
+def write_mnist_files(root, rng, sizes=(8, 4)):
+    """Random MNIST-shaped (train, test) IDX files; returns each split's
+    (images, labels) bytes."""
+    root.mkdir(parents=True)
+    written = []
+    for (img_name, lab_name), n in zip(fedbench.data.IDX_FILES.values(), sizes):
+        images = rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=n, dtype=np.uint8)
+        write_idx_images(root / img_name, images)
+        write_idx_labels(root / lab_name, labels)
+        written.append((images, labels))
+    return written
+
+
+def write_cifar_files(root, rng, per_batch=4):
+    """Random CIFAR-10 batch files; returns each batch's (pixels, labels) bytes."""
+    root.mkdir(parents=True)
+    written = []
+    for name in CIFAR_BATCHES:
+        pixels = rng.integers(0, 256, size=(per_batch, 3072), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=per_batch, dtype=np.uint8)
+        (root / name).write_bytes(np.column_stack([labels, pixels]).tobytes())
+        written.append((pixels, labels))
+    return written
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 class TestIdx:
@@ -129,25 +166,15 @@ class TestIdx:
 
 class TestCifar:
     def test_binary_batches(self, tmp_path):
-        rng = np.random.default_rng(1)
         root = tmp_path / "cifar10"
-        root.mkdir()
-        written = []
-        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
-            records = []
-            for _ in range(4):
-                label = rng.integers(0, 10, dtype=np.uint8)
-                written.append(int(label))
-                pixels = rng.integers(0, 256, size=3072, dtype=np.uint8)
-                records.append(bytes([label]) + pixels.tobytes())
-            (root / name).write_bytes(b"".join(records))
+        written = [labels.tolist() for _, labels in write_cifar_files(root, np.random.default_rng(1))]
         train = load_cifar10(root, "train")
         test = load_cifar10(root, "test")
         assert train.features.shape == (20, 3072)
         assert test.features.shape == (4, 3072)
         assert 0.0 <= train.features.min() and train.features.max() <= 1.0
-        assert train.labels.tolist() == written[:20]
-        assert test.labels.tolist() == written[20:]
+        assert train.labels.tolist() == sum(written[:5], [])
+        assert test.labels.tolist() == written[5]
         # load_dataset finds the batches under <data_dir>/cifar10/.
         for loaded, direct in zip(load_dataset("cifar10", str(tmp_path)), (train, test)):
             assert np.array_equal(loaded.features, direct.features)
@@ -279,17 +306,7 @@ class TestRegistry:
             load_dataset("mnist")
 
     def test_mnist_from_idx_files(self, tmp_path):
-        rng = np.random.default_rng(2)
-        root = tmp_path / "mnist"
-        root.mkdir()
-        for split, (img_name, lab_name) in {
-            "train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-            "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-        }.items():
-            n = 8 if split == "train" else 4
-            write_idx_images(root / img_name,
-                             rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8))
-            write_idx_labels(root / lab_name, rng.integers(0, 10, size=n))
+        write_mnist_files(tmp_path / "mnist", np.random.default_rng(2))
         train, test = load_dataset("mnist", data_dir=tmp_path)
         assert train.features.shape == (8, 784)
         assert test.features.shape == (4, 784)
@@ -370,6 +387,60 @@ class TestSplitCache:
         monkeypatch.setattr(fedbench.data, "generate_synthetic", counting)
         return calls
 
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """Count the reads of each dataset file."""
+        counts = Counter()
+        real = fedbench.data._read_bytes
+
+        def counting(path):
+            counts[path.name] += 1
+            return real(path)
+
+        monkeypatch.setattr(fedbench.data, "_read_bytes", counting)
+        return counts
+
+    @pytest.mark.parametrize("name, write", [("mnist", write_mnist_files),
+                                             ("cifar10", write_cifar_files)])
+    def test_repeated_file_load_reads_once(self, name, write, reads, tmp_path):
+        write(tmp_path / name, np.random.default_rng(4))
+        first = load_dataset(name, str(tmp_path))
+        second = load_dataset(name, str(tmp_path))
+        assert list(reads.values()) == [1] * (6 if name == "cifar10" else 4)
+        for a, b in zip(first, second):
+            assert a.features is b.features and a.labels is b.labels
+
+    def test_data_dir_from_the_environment_is_the_same_key(self, reads, tmp_path, monkeypatch):
+        write_mnist_files(tmp_path / "mnist", np.random.default_rng(4))
+        monkeypatch.setenv("FEDBENCH_DATA_DIR", str(tmp_path))
+        first = load_dataset("mnist")
+        assert load_dataset("mnist", str(tmp_path)) is first
+        assert list(reads.values()) == [1] * 4
+
+    def test_file_splits_equal_the_per_batch_formulas(self, tmp_path):
+        rng = np.random.default_rng(5)
+        idx = write_mnist_files(tmp_path / "mnist", rng, sizes=(9, 3))
+        batches = write_cifar_files(tmp_path / "cifar10", rng, per_batch=3)
+        for ds, (images, labels) in zip(load_dataset("mnist", str(tmp_path)), idx):
+            assert_same_bits(ds.features,
+                             images.reshape(len(images), -1).astype(np.float64) / 255.0)
+            assert_same_bits(ds.labels, labels.astype(np.int64))
+        for ds, parts in zip(load_dataset("cifar10", str(tmp_path)), (batches[:5], batches[5:])):
+            assert_same_bits(ds.features, np.concatenate(
+                [pixels.astype(np.float64) / 255.0 for pixels, _ in parts]))
+            assert_same_bits(ds.labels, np.concatenate(
+                [labels.astype(np.int64) for _, labels in parts]))
+
+    def test_cifar_peak_memory_is_near_its_floats(self, tmp_path):
+        write_cifar_files(tmp_path / "cifar10", np.random.default_rng(6), per_batch=100)
+        tracemalloc.start()
+        try:
+            train = load_cifar10(tmp_path / "cifar10", "train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * train.features.nbytes
+
     def test_repeated_load_generates_once(self, generations):
         first = load_dataset("synthmnist")
         second = load_dataset("synthmnist")
@@ -377,12 +448,37 @@ class TestSplitCache:
         for a, b in zip(first, second):
             assert a.features is b.features and a.labels is b.labels
 
-    def test_arrays_are_read_only(self):
-        for ds in load_dataset("synthetic", synthetic=SMALL):
-            with pytest.raises(ValueError):
-                ds.features[0, 0] = 0.5
-            with pytest.raises(ValueError):
-                ds.labels[0] = 0
+    def test_arrays_are_read_only(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for name in ("mnist", "fmnist"):
+            write_mnist_files(tmp_path / name, rng)
+        write_cifar_files(tmp_path / "cifar10", rng)
+        for name in DATASET_NAMES:
+            for ds in load_dataset(name, str(tmp_path), SMALL):
+                with pytest.raises(ValueError):
+                    ds.features[0, 0] = 0.5
+                with pytest.raises(ValueError):
+                    ds.labels[0] = 0
+
+    def test_public_loaders_stay_writable(self, idx_pair, tmp_path):
+        img_path, lab_path, *_ = idx_pair
+        write_cifar_files(tmp_path / "cifar10", np.random.default_rng(8))
+        for ds in (load_idx_dataset(img_path, lab_path), load_cifar10(tmp_path / "cifar10")):
+            assert ds.features.flags.writeable and ds.labels.flags.writeable
+
+    def test_next_dataset_loads_after_the_last_is_released(self, monkeypatch, tmp_path):
+        write_mnist_files(tmp_path / "mnist", np.random.default_rng(9))
+        refs = [weakref.ref(ds.features) for ds in load_dataset("synthetic", synthetic=SMALL)]
+        alive_at_reads = []
+        real = fedbench.data._read_bytes
+
+        def noting(path):
+            alive_at_reads.append(any(ref() is not None for ref in refs))
+            return real(path)
+
+        monkeypatch.setattr(fedbench.data, "_read_bytes", noting)
+        load_dataset("mnist", str(tmp_path))
+        assert alive_at_reads == [False] * 4
 
     def test_new_spec_generates_anew(self, generations):
         a, _ = load_dataset("synthetic", synthetic=SMALL)
