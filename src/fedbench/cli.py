@@ -115,9 +115,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"running {len(jobs)} experiment(s) -> {out_dir}")
     failures = []
     with concurrent.futures.ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        # Both maps yield in grid order, so progress prints in grid order.
-        errors = (map if pool is None else pool.map)(_execute_one, jobs)
-        for (_, run_id, *_), error in zip(jobs, errors):
+        # Runs are read in grid order, so progress prints in grid order.
+        pending = jobs if pool is None else [pool.submit(_execute_one, job) for job in jobs]
+        for (_, run_id, *_), run in zip(jobs, pending):
+            try:
+                error = _execute_one(run) if pool is None else run.result()
+            except concurrent.futures.BrokenExecutor as err:  # a worker died before this run ended
+                error = f"worker process died: {err}"
             print(f"  {run_id}: {'ok' if error is None else f'FAILED: {error}'}", flush=True)
             if error is not None:
                 failures.append((run_id, error))

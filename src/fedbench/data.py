@@ -31,14 +31,29 @@ IDX_FILES = {
 
 
 @dataclass
-class Dataset:
-    """Row-major feature matrix in [0, 1] plus integer class labels."""
+class RowView:
+    """Rows of base picked by index, read-only: view[idx] gathers base[rows[idx]]."""
 
-    features: Array
+    base: Array
+    rows: Array
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, idx) -> Array:
+        return self.base[self.rows[idx]]
+
+
+@dataclass
+class Dataset:
+    """Row-major features in [0, 1] plus integer class labels. A client's
+    features are a RowView of the loaded split."""
+
+    features: Array | RowView
     labels: Array
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return len(self.labels)
 
 
 @dataclass
@@ -114,10 +129,10 @@ _NOISE_TRUNCATION = 2.0
 
 def _read_bytes(path: Path) -> bytes:
     """A dataset file's contents; a missing or unreadable file is an IngestionError."""
-    if not path.exists():
-        raise IngestionError(f"{path}: file not found")
     try:
         return path.read_bytes()
+    except FileNotFoundError:
+        raise IngestionError(f"{path}: file not found") from None
     except OSError as err:
         raise IngestionError(f"{path}: cannot read: {err.strerror or err}") from None
 
@@ -308,7 +323,7 @@ def load_dataset(
     elif root is None:
         raise IngestionError(f"dataset {name!r} needs --data-dir or FEDBENCH_DATA_DIR")
     else:
-        base = root / name if (root / name).is_dir() else root
+        base = root / name
         if name == "cifar10":
             split = load_cifar10(base, "train"), load_cifar10(base, "test")
         else:

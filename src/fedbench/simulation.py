@@ -16,14 +16,13 @@ import ctypes
 import os
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .adversary import AdversarySpec, corrupt
-from .data import SyntheticSpec, dataset_shape, load_dataset
+from .data import Dataset, RowView, SyntheticSpec, dataset_shape, load_dataset
 from .errors import ConfigError, ExperimentAborted, FedbenchError, NumericError
 from .model import (
     LocalOptimizerConfig,
@@ -136,29 +135,6 @@ class RoundMetrics:
     train_time_s: float
     comm_time_s: float
     clip_norm: float | None = None
-
-
-@dataclass
-class RowView:
-    """Rows of base picked by index, read-only: view[idx] gathers base[rows[idx]]."""
-
-    base: Array
-    rows: Array
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, idx) -> Array:
-        return self.base[self.rows[idx]]
-
-
-@dataclass
-class ClientShard:
-    """One client's slice of the training data (features may be a RowView)."""
-
-    client_id: int
-    features: Array | RowView
-    labels: Array
 
 
 @dataclass
@@ -291,57 +267,55 @@ def _transfer(params: Array) -> tuple[Array, float]:
 
 def run_round(
     global_params: Array,
-    clients: list[ClientShard],
+    clients: list[Dataset],
     strategy: Strategy,
     round_idx: int,
     cfg: ExperimentConfig,
-    eval_features: Array,
-    eval_labels: Array,
-    pool: Executor | None = None,
+    evaluation: Dataset,
+    pool: Executor,
 ) -> tuple[Array, RoundMetrics]:
     """Execute one communication round and measure the paper-style metrics.
 
     cfg is the run's config: it supplies the model, the client
-    optimizer, the master seed and the adversary. Clients train on pool, or
-    one after another in the calling thread without one; their replies are
-    checked, corrupted and aggregated in client order either way. A
-    client's times are its thread's CPU time, so waiting for a core does not
-    count: train_time_s is the sum of the clients' broadcast-to-reply times
-    (transfers included) and comm_time_s the sum of their downlink and
-    uplink transfer times.
+    optimizer, the master seed and the adversary. A client's id is its
+    index in clients. Clients train on pool; their replies are checked,
+    corrupted and aggregated in client order. A client's times are its
+    thread's CPU time, so waiting for a core does not count: train_time_s
+    is the sum of the clients' broadcast-to-reply times (transfers
+    included) and comm_time_s the sum of their downlink and uplink
+    transfer times.
     """
     if not clients:
         raise ConfigError("round needs at least one client")
 
-    def train_client(shard: ClientShard) -> tuple[Array, float, float]:
+    def train_client(client_id: int) -> tuple[Array, float, float]:
+        shard = clients[client_id]
         start = time.thread_time()
         local_params, down = _transfer(global_params)
-        rng = derived_rng(cfg.master_seed, round_idx, shard.client_id, _TAG_TRAIN)
+        rng = derived_rng(cfg.master_seed, round_idx, client_id, _TAG_TRAIN)
         try:
             trained = train_local(local_params, cfg.model, shard.features, shard.labels, cfg.local,
                                   rng, prox_mu=strategy.client_prox_mu, prox_center=global_params)
         except NumericError as err:
-            raise NumericError(
-                f"client {shard.client_id} failed in round {round_idx}: {err}"
-            ) from err
+            raise NumericError(f"client {client_id} failed in round {round_idx}: {err}") from err
         received, up = _transfer(trained)
         busy = time.thread_time() - start
         if not np.all(np.isfinite(received)):
             raise NumericError(
-                f"client {shard.client_id} produced non-finite parameters in round {round_idx}"
+                f"client {client_id} produced non-finite parameters in round {round_idx}"
             )
         return received, busy, down + up
 
     updates = []
     train_time = comm_time = 0.0
-    # Both maps yield in client order and raise a client's error at its place
-    # in that order; pool.map then cancels the clients not yet started.
-    replies = (map if pool is None else pool.map)(train_client, clients)
-    for shard, (received, busy, transfers) in zip(clients, replies):
+    # pool.map yields in client order and raises a client's error at its
+    # place in that order, cancelling the clients not yet started.
+    replies = pool.map(train_client, range(len(clients)))
+    for client_id, (received, busy, transfers) in enumerate(replies):
         train_time += busy
         comm_time += transfers
-        update = ClientUpdate(shard.client_id, new_params=received, num_samples=len(shard.labels))
-        adversary_rng = derived_rng(cfg.master_seed, round_idx, shard.client_id, _TAG_ADVERSARY)
+        update = ClientUpdate(client_id, new_params=received, num_samples=len(clients[client_id]))
+        adversary_rng = derived_rng(cfg.master_seed, round_idx, client_id, _TAG_ADVERSARY)
         updates.append(corrupt(update, cfg.adversary, global_params, adversary_rng))
 
     agg_start = time.perf_counter()
@@ -353,7 +327,8 @@ def run_round(
     if not np.all(np.isfinite(new_params)):
         raise NumericError(f"aggregation produced non-finite parameters in round {round_idx}")
 
-    acc, loss = evaluate_centralized(new_params, cfg.model, eval_features, eval_labels, pool)
+    acc, loss = evaluate_centralized(new_params, cfg.model, evaluation.features,
+                                     evaluation.labels, pool)
     if not np.isfinite(loss):
         raise NumericError(f"evaluation produced a non-finite loss in round {round_idx}")
     metrics = RoundMetrics(
@@ -397,16 +372,13 @@ def run_experiment(cfg: ExperimentConfig, client_threads: int | None = None) -> 
         _subset(len(train), cfg.train_subset, derived_rng(cfg.master_seed, _TAG_SUBSET, 0))
     ]
     eval_rows = _subset(len(test), cfg.eval_subset, derived_rng(cfg.master_seed, _TAG_SUBSET, 1))
-    eval_x, eval_y = test.features[eval_rows], test.labels[eval_rows]
+    evaluation = Dataset(test.features[eval_rows], test.labels[eval_rows])
 
     # Clients index the loaded split; only their labels are copied.
     labels = train.labels[rows]
     assignments = partition(labels, cfg.partition, cfg.num_clients,
                             derived_seed(cfg.master_seed, _TAG_PARTITION))
-    shards = [
-        ClientShard(k, RowView(train.features, rows[idx]), labels[idx])
-        for k, idx in enumerate(assignments)
-    ]
+    clients = [Dataset(RowView(train.features, rows[idx]), labels[idx]) for idx in assignments]
 
     global_params = init_model(cfg.model, derived_seed(cfg.master_seed, _TAG_MODEL_INIT))
     strategy = Strategy(cfg.strategy)
@@ -418,14 +390,14 @@ def run_experiment(cfg: ExperimentConfig, client_threads: int | None = None) -> 
         final_params=global_params,
         strategy_state=strategy.state,
         train_size=len(rows),
-        eval_size=eval_x.shape[0],
+        eval_size=len(evaluation),
         client_threads=workers,
     )
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(workers) as pool:
         for round_idx in range(1, cfg.rounds + 1):
             try:
                 global_params, record = run_round(
-                    global_params, shards, strategy, round_idx, cfg, eval_x, eval_y, pool
+                    global_params, clients, strategy, round_idx, cfg, evaluation, pool
                 )
             except FedbenchError as err:
                 raise ExperimentAborted(str(err), result) from err

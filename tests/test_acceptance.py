@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the PASS lines.
 The learning-dynamics criteria execute full federated runs (10 clients x 25
 rounds and 20 clients x 50 rounds on the 784-dim surrogate task) and take
-about 5 minutes in total on 2 CPU cores. When real MNIST IDX files are
+about 3 minutes in total on 2 CPU cores. When real MNIST IDX files are
 available (FEDBENCH_DATA_DIR), those criteria run on MNIST instead.
 """
 
@@ -52,8 +52,7 @@ def mnist_available() -> bool:
     root = resolve_data_dir(None)
     if root is None:
         return False
-    base = root / "mnist" if (root / "mnist").is_dir() else root
-    return any(base.glob("train-images-idx3-ubyte*"))
+    return any((root / "mnist").glob("train-images-idx3-ubyte*"))
 
 
 DATASET = "mnist" if mnist_available() else "synthmnist"

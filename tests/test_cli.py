@@ -1,13 +1,16 @@
 """End-to-end CLI: validate, run, summarize, exit codes."""
 
+import concurrent.futures
 import csv
 import gzip
 import json
+import multiprocessing
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import fedbench.data
 from fedbench.cli import _expand_runs, main
 from fedbench.config import config_from_dict, config_to_dict, parse_config
 from fedbench.errors import ConfigError, FedbenchError
-from fedbench.simulation import blas_threads, default_client_threads, run_experiment
+from fedbench.simulation import blas_threads, default_client_threads, replica_seed, run_experiment
 from test_data import write_cifar_files, write_mnist_files
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,6 +196,26 @@ def test_empty_idx_split_fails_its_run_without_a_traceback(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_file_datasets_read_only_their_own_directory(tmp_path, capsys):
+    # Files placed directly in --data-dir belong to no dataset: neither run may read them.
+    data_dir, rng = tmp_path / "data", np.random.default_rng(12)
+    write_mnist_files(data_dir, rng, sizes=(36, 12))
+    path = tmp_path / "exp.ini"
+    path.write_text(FILE_GRID.replace("mnist, cifar10", "mnist, fmnist")
+                             .replace("fedavg, fedmedian", "fedavg"))
+    missing = "missing train-images-idx3-ubyte[.gz] / train-labels-idx1-ubyte[.gz]"
+    for out_name, present in (("flat", ()), ("nested", ("mnist",))):
+        for name in present:
+            write_mnist_files(data_dir / name, rng, sizes=(36, 12))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / out_name),
+                     "--data-dir", str(data_dir)]) == 2
+        out = capsys.readouterr().out
+        for name in ("mnist", "fmnist"):
+            line = (f"  fedavg_{name}_iid_rep0: ok\n" if name in present
+                    else f"  fedavg_{name}_iid_rep0: FAILED: {data_dir / name}: {missing}\n")
+            assert line in out
+
+
 def test_file_datasets_run_reading_each_file_once(tmp_path, capsys, monkeypatch):
     data_dir, rng = tmp_path / "data", np.random.default_rng(11)
     write_mnist_files(data_dir / "mnist", rng, sizes=(36, 12))
@@ -294,8 +317,10 @@ def test_pool_starts_no_more_workers_than_runs(config_path, tmp_path, monkeypatc
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingExecutor)
     rc = main([
@@ -303,6 +328,36 @@ def test_pool_starts_no_more_workers_than_runs(config_path, tmp_path, monkeypatc
     ])
     assert rc == 0
     assert started == [2]  # the TINY grid has 2 runs
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_experiment reaches the workers only through fork")
+def test_a_dead_worker_fails_only_the_runs_it_had(config_path, tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "out"
+    run_ids = [f"{kind}_synthetic_iid_rep{rep}" for kind in ("fedavg", "fedmedian") for rep in (0, 1)]
+
+    def last_run_kills_its_worker(cfg, client_threads=None):
+        if cfg.strategy.kind == "fedmedian" and cfg.master_seed == replica_seed(3, 1):
+            deadline = time.monotonic() + 60
+            while (time.monotonic() < deadline
+                   and not all((out_dir / r / "run.json").exists() for r in run_ids[:3])):
+                time.sleep(0.01)
+            time.sleep(0.5)  # let the other worker hand its last result back
+            os._exit(9)
+        return run_experiment(cfg, client_threads)
+
+    monkeypatch.setattr("fedbench.cli.run_experiment", last_run_kills_its_worker)
+    rc = main(["run", "--config", str(config_path), "--out", str(out_dir),
+               "--replicas", "2", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    for run_id in run_ids[:3]:
+        assert f"  {run_id}: ok\n" in captured.out
+    assert f"  {run_ids[3]}: FAILED: worker process died: " in captured.out
+    assert f"error: {run_ids[3]}: worker process died: " in captured.err
+    with open(out_dir / "summary.csv", newline="") as fh:
+        summarized = [r["run_id"] for r in csv.DictReader(fh) if r["replicate"] != "mean"]
+    assert sorted(summarized) == sorted(run_ids[:3])
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():

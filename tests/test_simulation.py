@@ -30,7 +30,7 @@ from fedbench import (
     run_experiment,
 )
 import fedbench.simulation
-from fedbench.data import load_dataset
+from fedbench.data import Dataset, RowView, load_dataset
 from fedbench.model import forward_loss_grad, init_model
 from fedbench.partition import partition
 from fedbench.strategies import STRATEGY_KINDS
@@ -38,8 +38,6 @@ from fedbench.simulation import (
     _TAG_MODEL_INIT,
     _TAG_PARTITION,
     _TAG_SUBSET,
-    ClientShard,
-    RowView,
     _transfer,
     derived_rng,
     derived_seed,
@@ -68,16 +66,15 @@ def tiny_config(**overrides):
 
 
 def make_shards(rng, num_clients, per_client, dim, classes):
-    shards = []
-    for cid in range(num_clients):
-        shards.append(
-            ClientShard(
-                client_id=cid,
-                features=rng.uniform(size=(per_client, dim)),
-                labels=rng.integers(0, classes, size=per_client),
-            )
-        )
-    return shards
+    return [Dataset(features=rng.uniform(size=(per_client, dim)),
+                    labels=rng.integers(0, classes, size=per_client))
+            for _ in range(num_clients)]
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ThreadPoolExecutor(2) as pool:
+        yield pool
 
 
 class TestRunRound:
@@ -85,18 +82,17 @@ class TestRunRound:
         rng = np.random.default_rng(0)
         spec = ModelSpec(input_dim=6, hidden_dims=[5], output_classes=3)
         shards = make_shards(rng, num_clients, 12, 6, 3)
-        eval_x = rng.uniform(size=(30, 6))
-        eval_y = rng.integers(0, 3, size=30)
-        return spec, shards, eval_x, eval_y
+        evaluation = Dataset(rng.uniform(size=(30, 6)), rng.integers(0, 3, size=30))
+        return spec, shards, evaluation
 
-    def test_single_client_round_adopts_client_weights(self):
-        spec, shards, eval_x, eval_y = self.setup_round(num_clients=1)
+    def test_single_client_round_adopts_client_weights(self, pool):
+        spec, shards, evaluation = self.setup_round(num_clients=1)
         params = init_model(spec, 1)
         strategy = Strategy(StrategyConfig(kind="fedavg"))
         new_params, metrics = run_round(
             params, shards, strategy, 1,
             cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-            eval_features=eval_x, eval_labels=eval_y,
+            evaluation=evaluation, pool=pool,
         )
         from fedbench.simulation import derived_rng, train_local, _TAG_TRAIN
 
@@ -107,31 +103,32 @@ class TestRunRound:
         assert np.array_equal(new_params, expected)
         assert metrics.round == 1
 
-    def test_empty_client_list_rejected(self):
-        spec, _, eval_x, eval_y = self.setup_round()
+    def test_empty_client_list_rejected(self, pool):
+        spec, _, evaluation = self.setup_round()
         with pytest.raises(ConfigError, match="at least one client"):
             run_round(
                 init_model(spec, 1), [], Strategy(StrategyConfig(kind="fedavg")), 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-                eval_features=eval_x, eval_labels=eval_y,
+                evaluation=evaluation, pool=pool,
             )
 
-    def test_zero_lr_leaves_model_and_accuracy_unchanged(self):
-        spec, shards, eval_x, eval_y = self.setup_round()
+    def test_zero_lr_leaves_model_and_accuracy_unchanged(self, pool):
+        spec, shards, evaluation = self.setup_round()
         params = init_model(spec, 1)
-        acc_before, loss_before = evaluate_centralized(params, spec, eval_x, eval_y)
+        acc_before, loss_before = evaluate_centralized(params, spec, evaluation.features,
+                                                        evaluation.labels)
         strategy = Strategy(StrategyConfig(kind="fedavg"))
         new_params, metrics = run_round(
             params, shards, strategy, 1,
             cfg=ExperimentConfig(model=spec, master_seed=5,
                                  local=LocalOptimizerConfig(kind="sgd", learning_rate=0.0)),
-            eval_features=eval_x, eval_labels=eval_y,
+            evaluation=evaluation, pool=pool,
         )
         np.testing.assert_allclose(new_params, params, atol=1e-12)
         assert abs(metrics.acc - acc_before) < 1e-12
 
-    def test_all_clients_participate(self):
-        spec, shards, eval_x, eval_y = self.setup_round(num_clients=5)
+    def test_all_clients_participate(self, pool):
+        spec, shards, evaluation = self.setup_round(num_clients=5)
         seen = []
 
         class Recorder(Strategy):
@@ -142,33 +139,33 @@ class TestRunRound:
         run_round(
             init_model(spec, 1), shards, Recorder(StrategyConfig(kind="fedavg")), 1,
             cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-            eval_features=eval_x, eval_labels=eval_y,
+            evaluation=evaluation, pool=pool,
         )
         assert seen == [0, 1, 2, 3, 4]
 
-    def test_timing_fields_positive(self):
-        spec, shards, eval_x, eval_y = self.setup_round()
+    def test_timing_fields_positive(self, pool):
+        spec, shards, evaluation = self.setup_round()
         _, metrics = run_round(
             init_model(spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
             cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-            eval_features=eval_x, eval_labels=eval_y,
+            evaluation=evaluation, pool=pool,
         )
         assert metrics.agg_time_s > 0
         assert metrics.train_time_s > 0
         assert metrics.comm_time_s > 0
 
-    def test_non_finite_client_params_abort_with_context(self):
-        spec, shards, eval_x, eval_y = self.setup_round()
+    def test_non_finite_client_params_abort_with_context(self, pool):
+        spec, shards, evaluation = self.setup_round()
         shards[2].features[0, 0] = np.nan
         with pytest.raises(NumericError, match="client 2.*round 1"):
             run_round(
                 init_model(spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-                eval_features=eval_x, eval_labels=eval_y,
+                evaluation=evaluation, pool=pool,
             )
 
     def test_non_finite_client_params_rejected_before_aggregation(self, monkeypatch):
-        spec, shards, eval_x, eval_y = self.setup_round()
+        spec, shards, evaluation = self.setup_round()
         real_train_local = fedbench.simulation.train_local
 
         def overflowing_clients_1_and_2(params, *args, **kwargs):
@@ -186,13 +183,13 @@ class TestRunRound:
             run_round(
                 init_model(spec, 1), shards, strategy, 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-                eval_features=eval_x, eval_labels=eval_y, pool=pool,
+                evaluation=evaluation, pool=pool,
             )
         assert strategy.state.round_index == 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_aggregate_aborts_round(self):
-        spec, shards, eval_x, eval_y = self.setup_round()
+    def test_non_finite_aggregate_aborts_round(self, pool):
+        spec, shards, evaluation = self.setup_round()
         # Finite client models; the server's 1e308 step overflows.
         strategy = Strategy(StrategyConfig(kind="fedavgm", server_lr=1e308))
         with pytest.raises(NumericError,
@@ -201,30 +198,30 @@ class TestRunRound:
                 init_model(spec, 1), shards, strategy, 1,
                 cfg=ExperimentConfig(model=spec, master_seed=5,
                                      local=LocalOptimizerConfig(kind="sgd", learning_rate=10.0)),
-                eval_features=eval_x, eval_labels=eval_y,
+                evaluation=evaluation, pool=pool,
             )
 
-    def test_dp_round_records_clip_norm(self):
-        spec, shards, eval_x, eval_y = self.setup_round()
+    def test_dp_round_records_clip_norm(self, pool):
+        spec, shards, evaluation = self.setup_round()
         strategy = Strategy(StrategyConfig(kind="dp"))
         _, metrics = run_round(
             init_model(spec, 1), shards, strategy, 1,
             cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-            eval_features=eval_x, eval_labels=eval_y,
+            evaluation=evaluation, pool=pool,
         )
         assert metrics.clip_norm == strategy.state.clip_norm
         assert metrics.clip_norm > 0
 
     @pytest.mark.parametrize("loss", [np.nan, np.inf])
-    def test_non_finite_loss_aborts_round(self, monkeypatch, loss):
-        spec, shards, eval_x, eval_y = self.setup_round()
+    def test_non_finite_loss_aborts_round(self, pool, monkeypatch, loss):
+        spec, shards, evaluation = self.setup_round()
         monkeypatch.setattr(fedbench.simulation, "evaluate_centralized",
                             lambda *args: (0.5, loss))
         with pytest.raises(NumericError, match="non-finite loss in round 1"):
             run_round(
                 init_model(spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
                 cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
-                eval_features=eval_x, eval_labels=eval_y,
+                evaluation=evaluation, pool=pool,
             )
 
 
@@ -268,7 +265,8 @@ class TestClientRows:
         spec = ModelSpec(input_dim=6, hidden_dims=[5], output_classes=3)
         base, rows = rng.uniform(size=(40, 6)), rng.permutation(40)[:25]
         labels = rng.integers(0, 3, size=25)
-        shard = ClientShard(0, RowView(base, rows), labels)
+        shard = Dataset(RowView(base, rows), labels)
+        assert len(shard) == 25
         assert len(shard.features) == 25
         params = init_model(spec, 1)
         cfg = LocalOptimizerConfig(kind="adam", learning_rate=0.01, batch_size=4)
@@ -523,17 +521,20 @@ class TestRunExperiment:
         assert learning(result) == learning(serial)
         assert np.array_equal(result.final_params, serial.final_params)
 
-    def test_one_client_thread_trains_on_the_calling_thread(self, monkeypatch):
-        threads = set()
+    def test_one_client_thread_trains_every_client_on_one_pool_thread(self, monkeypatch):
+        threads = []
         real_train_local = fedbench.simulation.train_local
 
         def recording_train_local(*args, **kwargs):
-            threads.add(threading.get_ident())
+            threads.append(threading.get_ident())
             return real_train_local(*args, **kwargs)
 
         monkeypatch.setattr(fedbench.simulation, "train_local", recording_train_local)
-        assert run_experiment(tiny_config(rounds=1), 1).client_threads == 1
-        assert threads == {threading.main_thread().ident}
+        cfg = tiny_config(rounds=2)
+        assert run_experiment(cfg, 1).client_threads == 1
+        assert len(threads) == cfg.rounds * cfg.num_clients
+        assert len(set(threads)) == 1
+        assert threading.main_thread().ident not in threads
 
     def test_client_threads_capped_by_clients_and_checked(self):
         assert run_experiment(tiny_config(rounds=1), 64).client_threads == 4
