@@ -8,6 +8,8 @@ arXiv:2003.00295). The mean aggregator is
     delta = sum_k (n_k / n) * (w_k - w_t),   n = sum_k n_k
 
 so FedAvg, the mean with the identity step, is exactly w_t + delta.
+An aggregator is a Fold: it takes the replies one at a time in client
+order, so a round need not hold them all (only the median does).
 """
 
 from __future__ import annotations
@@ -91,40 +93,90 @@ class StrategyState:
     clip_norm: float = 0.0
 
 
-def pseudo_gradient(global_params: Array, updates: Updates) -> Array:
-    """Sample-weighted mean of client deltas relative to the global model."""
-    weights = np.array([u.num_samples for u in updates], dtype=np.float64)
-    weights /= weights.sum()
-    delta = np.zeros_like(global_params)
-    scratch = np.empty_like(global_params)
-    for w, u in zip(weights, updates):
-        np.subtract(u.new_params, global_params, out=scratch)
-        delta += np.multiply(scratch, w, out=scratch)  # w * (w_k - w_t)
-    return delta
+class Fold:
+    """One round's aggregate in progress. Strategy.start makes it from the
+    round's global params and every client's sample count; add takes the
+    replies one at a time in client order; Strategy.aggregate finishes it.
+    A kind's subclass does the work: _add folds one reply's parameters in,
+    _finish returns (delta, state)."""
+
+    def __init__(self, global_params: Array, sample_counts: list[int], state: StrategyState):
+        if not sample_counts:
+            raise ProtocolError("aggregation received an empty update set")
+        self.global_params = global_params
+        self.size = len(sample_counts)
+        self.added = 0
+
+    def add(self, update: ClientUpdate) -> None:
+        """Check one reply and fold it in as the next client's."""
+        if update.new_params.shape != self.global_params.shape:
+            raise ShapeError(
+                f"client {update.client_id} sent {update.new_params.shape[0]} parameters, "
+                f"global model has {self.global_params.shape[0]}"
+            )
+        if update.num_samples < 1:
+            raise ProtocolError(f"client {update.client_id} reported {update.num_samples} samples")
+        self._add(update.new_params)
+        self.added += 1
+
+    def finish(self, state: StrategyState, cfg: StrategyConfig,
+               rng: np.random.Generator) -> tuple[Array, StrategyState]:
+        """The round's delta and state. The fold then drops every buffer it
+        holds, so the server step and the round after it do not carry them."""
+        if self.added != self.size:
+            raise ProtocolError(f"aggregation received {self.added} of {self.size} replies")
+        delta, state = self._finish(state, cfg, rng)
+        vars(self).clear()
+        return delta, state
 
 
-def _mean(global_params, updates, state, cfg, rng):
-    return pseudo_gradient(global_params, updates), state
+class _Mean(Fold):
+    """delta = sum_k (n_k / n) * (w_k - w_t), each reply's share added to
+    the running delta through one scratch vector."""
+
+    def __init__(self, global_params, sample_counts, state):
+        super().__init__(global_params, sample_counts, state)
+        self.weights = np.array(sample_counts, dtype=np.float64)
+        self.weights /= max(self.weights.sum(), 1.0)  # add rejects a count below 1
+        self.delta = np.zeros_like(global_params)
+        self.scratch = np.empty_like(global_params)
+
+    def _add(self, new_params):
+        np.subtract(new_params, self.global_params, out=self.scratch)
+        self.delta += np.multiply(self.scratch, self.weights[self.added], out=self.scratch)
+
+    def _finish(self, state, cfg, rng):
+        return self.delta, state
 
 
-def _median(global_params, updates, state, cfg, rng):
+class _Median(Fold):
     """Unweighted coordinate-wise median of the client models, applied as a
     delta to w_t; even client counts average the two middle values. Equal to
-    np.median, NaN columns included; each coordinate's K values sort contiguously."""
-    k, p = len(updates), global_params.size
-    out = np.empty_like(global_params)
-    scratch = np.empty((min(_MEDIAN_BLOCK, p), k), global_params.dtype)
-    for start in range(0, p, _MEDIAN_BLOCK):
-        cols, mid = scratch[: min(_MEDIAN_BLOCK, p - start)], out[start : start + _MEDIAN_BLOCK]
-        np.stack([u.new_params[start : start + len(cols)] for u in updates], axis=1, out=cols)
-        cols.sort(axis=1)
-        mid[:] = cols[:, k // 2] if k % 2 else (cols[:, k // 2 - 1] + cols[:, k // 2]) / 2
-        np.copyto(mid, np.nan, where=np.isnan(cols[:, -1]))  # the sort puts NaNs last
-    out -= global_params
-    return out, state
+    np.median, NaN columns included; each coordinate's K values sort
+    contiguously. The one kind that keeps every reply until the round ends."""
+
+    def __init__(self, global_params, sample_counts, state):
+        super().__init__(global_params, sample_counts, state)
+        self.replies = []
+
+    def _add(self, new_params):
+        self.replies.append(new_params)
+
+    def _finish(self, state, cfg, rng):
+        k, p = self.size, self.global_params.size
+        out = np.empty_like(self.global_params)
+        scratch = np.empty((min(_MEDIAN_BLOCK, p), k), out.dtype)
+        for start in range(0, p, _MEDIAN_BLOCK):
+            cols, mid = scratch[: min(_MEDIAN_BLOCK, p - start)], out[start : start + _MEDIAN_BLOCK]
+            np.stack([r[start : start + len(cols)] for r in self.replies], axis=1, out=cols)
+            cols.sort(axis=1)
+            mid[:] = cols[:, k // 2] if k % 2 else (cols[:, k // 2 - 1] + cols[:, k // 2]) / 2
+            np.copyto(mid, np.nan, where=np.isnan(cols[:, -1]))  # the sort puts NaNs last
+        out -= self.global_params
+        return out, state
 
 
-def _clipped_mean(global_params, updates, state, cfg, rng):
+class _ClippedMean(Fold):
     """Uniform mean of deltas clipped at C plus noise; C tracks a quantile.
 
     Client deltas are clipped at the current norm C and averaged with uniform
@@ -132,26 +184,34 @@ def _clipped_mean(global_params, updates, state, cfg, rng):
     geometrically toward the target quantile of the delta-norm distribution:
     C' = C * exp(-lr_C * (below_fraction - quantile)).
     """
-    clip = state.clip_norm
-    if clip <= 0:
-        raise ConfigError(f"clip norm must be > 0, got {clip}")
-    k = len(updates)
-    mean_clipped = np.zeros_like(global_params)
-    scratch = np.empty_like(global_params)
-    below = 0
-    for u in updates:
-        norm = float(np.linalg.norm(np.subtract(u.new_params, global_params, out=scratch)))
-        if norm <= clip:
-            below += 1
+
+    def __init__(self, global_params, sample_counts, state):
+        super().__init__(global_params, sample_counts, state)
+        if state.clip_norm <= 0:
+            raise ConfigError(f"clip norm must be > 0, got {state.clip_norm}")
+        self.clip = state.clip_norm
+        self.mean = np.zeros_like(global_params)
+        self.scratch = np.empty_like(global_params)
+        self.below = 0
+
+    def _add(self, new_params):
+        scratch = self.scratch
+        norm = float(np.linalg.norm(np.subtract(new_params, self.global_params, out=scratch)))
+        if norm <= self.clip:
+            self.below += 1
         else:
-            scratch *= clip / norm  # onto the L2 ball of radius C
-        mean_clipped += np.divide(scratch, k, out=scratch)
-    noise_std = cfg.dp_noise_multiplier * clip / k
-    if noise_std > 0:
-        # rng.normal(0, noise_std)'s draws, 0 + noise_std * z, without a third P-vector.
-        mean_clipped += np.multiply(rng.standard_normal(out=scratch), noise_std, out=scratch)
-    new_clip = clip * float(np.exp(-cfg.dp_clip_lr * (below / k - cfg.dp_target_quantile)))
-    return mean_clipped, replace(state, clip_norm=new_clip)
+            scratch *= self.clip / norm  # onto the L2 ball of radius C
+        self.mean += np.divide(scratch, self.size, out=scratch)
+
+    def _finish(self, state, cfg, rng):
+        k, clip = self.size, self.clip
+        noise_std = cfg.dp_noise_multiplier * clip / k
+        if noise_std > 0:
+            # rng.normal(0, noise_std)'s draws, 0 + noise_std * z, without a third P-vector.
+            self.mean += np.multiply(rng.standard_normal(out=self.scratch), noise_std,
+                                     out=self.scratch)
+        new_clip = clip * float(np.exp(-cfg.dp_clip_lr * (self.below / k - cfg.dp_target_quantile)))
+        return self.mean, replace(state, clip_norm=new_clip)
 
 
 def _or_zeros(buffer, like):
@@ -190,23 +250,23 @@ def _adagrad(delta, state, cfg):
 
 
 class _Kind(NamedTuple):
-    aggregate: Callable  # (global, updates, state, cfg, rng) -> (delta, state)
+    fold: type[Fold]  # (global, sample_counts, state) -> the round's Fold
     step: Callable  # (delta, state, cfg) -> (step, state)
     server_lr: float = 1.0  # when the config leaves strategy.server_lr unset
     client_prox: bool = False  # clients add mu * (w - w_global) (train_local)
 
 
 _KINDS = {
-    "fedavg": _Kind(_mean, _identity),
-    "fedavgm": _Kind(_mean, _momentum),
+    "fedavg": _Kind(_Mean, _identity),
+    "fedavgm": _Kind(_Mean, _momentum),
     # FedAdam's first step moves every coordinate by about lr, since
     # m/sqrt(v2) starts near +-1 without bias correction; 0.1 matches the
     # He-uniform init scale and wrecks the model.
-    "fedadam": _Kind(_mean, _adam, server_lr=0.01),
-    "fedadagrad": _Kind(_mean, _adagrad, server_lr=0.1),
-    "fedmedian": _Kind(_median, _identity),
-    "fedprox": _Kind(_mean, _identity, client_prox=True),
-    "dp": _Kind(_clipped_mean, _identity),
+    "fedadam": _Kind(_Mean, _adam, server_lr=0.01),
+    "fedadagrad": _Kind(_Mean, _adagrad, server_lr=0.1),
+    "fedmedian": _Kind(_Median, _identity),
+    "fedprox": _Kind(_Mean, _identity, client_prox=True),
+    "dp": _Kind(_ClippedMean, _identity),
 }
 STRATEGY_KINDS = tuple(_KINDS)
 
@@ -218,7 +278,7 @@ class Strategy:
         cfg.validate()
         self.cfg = cfg
         self._row = _KINDS[cfg.kind]
-        self._clips = self._row.aggregate is _clipped_mean
+        self._clips = self._row.fold is _ClippedMean
         self.state = StrategyState(clip_norm=cfg.dp_initial_clip if self._clips else 0.0)
 
     @property
@@ -235,23 +295,27 @@ class Strategy:
         """The current clip norm, or None for a kind that does not clip."""
         return self.state.clip_norm if self._clips else None
 
+    def start(self, global_params: Array, sample_counts: list[int]) -> Fold:
+        """Begin a round's aggregate: sample_counts holds every client's
+        count in client order, and the replies must come in that order."""
+        return self._row.fold(global_params, sample_counts, self.state)
+
     def aggregate(
-        self, global_params: Array, updates: Updates, rng: np.random.Generator | None = None
+        self, global_params: Array, updates: Updates | Fold,
+        rng: np.random.Generator | None = None,
     ) -> Array:
-        """Check the round's updates, aggregate, take the server step, count the round."""
-        if not updates:
-            raise ProtocolError("aggregation received an empty update set")
-        for u in updates:
-            if u.new_params.shape != global_params.shape:
-                raise ShapeError(
-                    f"client {u.client_id} sent {u.new_params.shape[0]} parameters, "
-                    f"global model has {global_params.shape[0]}"
-                )
-            if u.num_samples < 1:
-                raise ProtocolError(f"client {u.client_id} reported {u.num_samples} samples")
+        """Finish the round's aggregate, take the server step, count the round.
+
+        updates is the round's replies in client order, which are checked and
+        folded here, or a Fold that has taken all of them."""
+        fold = updates
+        if not isinstance(fold, Fold):
+            fold = self.start(global_params, [u.num_samples for u in updates])
+            for u in updates:
+                fold.add(u)
         if rng is None:
             rng = np.random.default_rng(0)
-        delta, state = self._row.aggregate(global_params, updates, self.state, self.cfg, rng)
+        delta, state = fold.finish(self.state, self.cfg, rng)
         step, state = self._row.step(delta, state, self.cfg)
         self.state = replace(state, round_index=state.round_index + 1)
         return global_params + step

@@ -2,6 +2,7 @@
 
 import copy
 import ctypes
+import itertools
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from fedbench import (
     NumericError,
     PartitionSpec,
     ProtocolError,
+    ShapeError,
     Strategy,
     StrategyConfig,
     SyntheticSpec,
@@ -33,7 +35,7 @@ import fedbench.simulation
 from fedbench.data import Dataset, RowView, load_dataset
 from fedbench.model import forward_loss_grad, init_model
 from fedbench.partition import partition
-from fedbench.strategies import STRATEGY_KINDS
+from fedbench.strategies import STRATEGY_KINDS, Fold
 from fedbench.simulation import (
     _TAG_MODEL_INIT,
     _TAG_PARTITION,
@@ -127,17 +129,18 @@ class TestRunRound:
         np.testing.assert_allclose(new_params, params, atol=1e-12)
         assert abs(metrics.acc - acc_before) < 1e-12
 
-    def test_all_clients_participate(self, pool):
+    def test_all_clients_participate(self, pool, monkeypatch):
         spec, shards, evaluation = self.setup_round(num_clients=5)
         seen = []
+        real_add = Fold.add
 
-        class Recorder(Strategy):
-            def aggregate(self, global_params, updates, rng=None):
-                seen.extend(u.client_id for u in updates)
-                return super().aggregate(global_params, updates, rng=rng)
+        def recording_add(self, update):
+            seen.append(update.client_id)
+            return real_add(self, update)
 
+        monkeypatch.setattr(Fold, "add", recording_add)
         run_round(
-            init_model(spec, 1), shards, Recorder(StrategyConfig(kind="fedavg")), 1,
+            init_model(spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
             cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
             evaluation=evaluation, pool=pool,
         )
@@ -354,15 +357,16 @@ class TestRunExperiment:
         assert len(err.result.metrics) < 5
 
     def test_midrun_protocol_error_keeps_completed_rounds(self, monkeypatch):
-        real_aggregate = Strategy.aggregate
-
-        def failing_aggregate(self, global_params, updates, rng=None):
-            if self.state.round_index == 2:
-                raise ProtocolError("injected failure in round 3")
-            return real_aggregate(self, global_params, updates, rng)
-
-        monkeypatch.setattr(Strategy, "aggregate", failing_aggregate)
         cfg = tiny_config(strategy=StrategyConfig(kind="fedavgm"), rounds=5)
+        real_add = Fold.add
+        adds = itertools.count()  # one thread folds at a time, in round and client order
+
+        def failing_add(self, update):
+            if next(adds) == 2 * cfg.num_clients + 1:  # round 3's second reply
+                raise ProtocolError("injected failure in round 3")
+            return real_add(self, update)
+
+        monkeypatch.setattr(Fold, "add", failing_add)
         with pytest.raises(ExperimentAborted) as excinfo:
             run_experiment(cfg)
         monkeypatch.undo()
@@ -590,6 +594,100 @@ class TestClientThreads:
             assert _outcome(cfg, 3) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestFold:
+    """Replies are folded into the aggregate on the pool threads as they
+    arrive, in client order."""
+
+    spec = ModelSpec(input_dim=64, hidden_dims=[256], output_classes=10)  # 19,210 parameters
+
+    def round_inputs(self, num_clients, rows=8):
+        rng = np.random.default_rng(0)
+        shards = make_shards(rng, num_clients, rows, self.spec.input_dim,
+                             self.spec.output_classes)
+        evaluation = Dataset(rng.uniform(size=(16, self.spec.input_dim)),
+                             rng.integers(0, self.spec.output_classes, size=16))
+        cfg = ExperimentConfig(model=self.spec, master_seed=5,
+                               local=LocalOptimizerConfig(kind="sgd", batch_size=rows))
+        return shards, evaluation, cfg
+
+    @pytest.mark.parametrize("kind", ["fedavg", "dp"])
+    def test_server_memory_does_not_grow_with_clients(self, kind):
+        """One round's traced peak at 40 clients is within 4 parameter
+        vectors of the peak at 10: the replies are not all held at once.
+        One client thread, so no reply waits in the stash for a slower one;
+        how many do depends on the scheduler."""
+        params = init_model(self.spec, 1)
+        peaks = []
+        for num_clients in (10, 40):
+            shards, evaluation, cfg = self.round_inputs(num_clients)
+            tracemalloc.start()
+            try:
+                with ThreadPoolExecutor(1) as pool:
+                    run_round(params, shards, Strategy(StrategyConfig(kind=kind)), 1, cfg,
+                              evaluation, pool)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4 * params.nbytes, peaks
+
+    def late_first_clients(self, monkeypatch, shards, wrong_length=None):
+        """Clients 0 and 1 start training only once the last client has
+        started, so on a 3-thread pool the third thread trains clients 2 to
+        K - 2 before either of them replies. Client wrong_length replies one
+        parameter short. Returns the client ids in the order their training
+        ended and the threads that folded replies."""
+        client_of = {id(shard.features): k for k, shard in enumerate(shards)}
+        last_started = threading.Event()
+        finished, fold_threads = [], set()
+        real_train_local, real_add = fedbench.simulation.train_local, Fold.add
+
+        def gated_train_local(params, spec, features, *args, **kwargs):
+            k = client_of[id(features)]
+            if k == len(shards) - 1:
+                last_started.set()
+            if k < 2:
+                assert last_started.wait(timeout=30)
+            trained = real_train_local(params, spec, features, *args, **kwargs)
+            finished.append(k)
+            return trained[:-1] if k == wrong_length else trained
+
+        def recording_add(self, update):
+            fold_threads.add(threading.get_ident())
+            return real_add(self, update)
+
+        monkeypatch.setattr(fedbench.simulation, "train_local", gated_train_local)
+        monkeypatch.setattr(Fold, "add", recording_add)
+        return finished, fold_threads
+
+    @pytest.mark.parametrize("kind", ["fedavg", "dp", "fedmedian"])
+    def test_out_of_order_replies_give_the_one_thread_bytes(self, monkeypatch, kind):
+        shards, evaluation, cfg = self.round_inputs(6)
+        params = init_model(self.spec, 1)
+
+        def one_round(workers):
+            strategy = Strategy(StrategyConfig(kind=kind))
+            with ThreadPoolExecutor(workers) as pool:
+                new_params, m = run_round(params, shards, strategy, 1, cfg, evaluation, pool)
+            state = {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+                     for k, v in vars(strategy.state).items()}
+            return new_params.tobytes(), repr((m.round, m.acc, m.loss, m.clip_norm)), state
+
+        serial = one_round(1)
+        finished, fold_threads = self.late_first_clients(monkeypatch, shards)
+        assert one_round(3) == serial
+        assert finished[:3] == [2, 3, 4] and sorted(finished[3:]) == [0, 1, 5]
+        assert fold_threads and threading.main_thread().ident not in fold_threads
+
+    def test_wrong_length_reply_after_a_later_one_names_its_client(self, monkeypatch):
+        shards, evaluation, cfg = self.round_inputs(6)
+        finished, _ = self.late_first_clients(monkeypatch, shards, wrong_length=1)
+        strategy = Strategy(StrategyConfig(kind="fedavg"))
+        with ThreadPoolExecutor(3) as pool, pytest.raises(ShapeError, match="client 1 sent"):
+            run_round(init_model(self.spec, 1), shards, strategy, 1, cfg, evaluation, pool)
+        assert finished.index(2) < finished.index(1)
+        assert strategy.state.round_index == 0
 
 
 @pytest.mark.skipif(os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"),

@@ -18,7 +18,7 @@ from fedbench import (
     Strategy,
     StrategyConfig,
 )
-from fedbench.strategies import _MEDIAN_BLOCK, STRATEGY_KINDS, _median, pseudo_gradient
+from fedbench.strategies import _MEDIAN_BLOCK, STRATEGY_KINDS
 
 
 def updates_from(w_t, deltas, num_samples=None):
@@ -38,6 +38,15 @@ def updates_with_params(params_list, num_samples=None):
         ClientUpdate(client_id=i, new_params=np.asarray(p, dtype=np.float64), num_samples=n)
         for i, (p, n) in enumerate(zip(params_list, num_samples))
     ]
+
+
+def fold_delta(kind, w_t, updates):
+    """A kind's aggregate before the server step: the delta of one fold."""
+    strategy = Strategy(StrategyConfig(kind=kind))
+    fold = strategy.start(w_t, [u.num_samples for u in updates])
+    for u in updates:
+        fold.add(u)
+    return fold.finish(strategy.state, strategy.cfg, np.random.default_rng(0))[0]
 
 
 def vectors(dim, bound=10.0):
@@ -162,7 +171,7 @@ class TestFedAvg:
         updates = updates_with_params([rng.normal(size=10) for _ in range(4)],
                                       [3, 1, 7, 2])
         avg = Strategy(StrategyConfig()).aggregate(w_t, updates)
-        via_delta = w_t + pseudo_gradient(w_t, updates)
+        via_delta = w_t + fold_delta("fedavg", w_t, updates)
         assert np.array_equal(avg, via_delta)
 
     @settings(max_examples=100, deadline=None)
@@ -177,12 +186,20 @@ class TestFedAvg:
             reference += w * (p - w_t)
         updates = updates_with_params(params, ns)
         before = snapshot(updates)
-        assert np.array_equal(pseudo_gradient(w_t, updates), reference)
+        assert np.array_equal(fold_delta("fedavg", w_t, updates), reference)
         assert_unchanged(updates, before)
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ProtocolError):
             Strategy(StrategyConfig()).aggregate(np.zeros(2), [])
+
+    def test_fold_missing_a_reply_rejected(self):
+        strategy = Strategy(StrategyConfig())
+        fold = strategy.start(np.zeros(2), [1, 1])
+        fold.add(ClientUpdate(client_id=0, new_params=np.ones(2), num_samples=1))
+        with pytest.raises(ProtocolError, match="received 1 of 2 replies"):
+            strategy.aggregate(np.zeros(2), fold)
+        assert strategy.state.round_index == 0
 
     def test_zero_sample_update_rejected(self):
         updates = updates_with_params([[1.0, 2.0], [3.0, 4.0]], [5, 0])
@@ -421,7 +438,7 @@ class TestFedMedian:
                 w_t, updates_with_params(params)
             )
             want = w_t + (np.median(stacked, axis=0) - w_t)
-            delta, _ = _median(w_t, updates_with_params(params), None, None, None)
+            delta = fold_delta("fedmedian", w_t, updates_with_params(params))
             ref = stacked_median(w_t, params)
         assert np.array_equal(out, want, equal_nan=True)
         assert delta.tobytes() == ref.tobytes()
