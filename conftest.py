@@ -1,0 +1,12 @@
+"""Test-session settings shared by tests/ and bench/tests/."""
+
+import pytest
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_home(tmp_path_factory):
+    """Keep generated splits in one session directory, not the user's cache;
+    subprocesses the tests start inherit the setting."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield

@@ -8,9 +8,12 @@ download-free experiments.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import os
+import platform
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
@@ -125,6 +128,18 @@ def dataset_shape(name: str, synthetic: SyntheticSpec | None = None) -> tuple[in
 # Noise values beyond this many sigmas from the class-mean range are clipped
 # before the [0, 1] rescale.
 _NOISE_TRUNCATION = 2.0
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temporary name beside path (np.savez keeps its suffix), moved onto
+    path once the body has written it: path never holds a partial file."""
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -274,6 +289,82 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
             Dataset(features[len(train_rows) :], labels[test_rows]))
 
 
+def _cache_stem(spec: SyntheticSpec) -> tuple[str, str]:
+    """(spec id, file stem) of spec's cached split. The stem adds a hash of all
+    else the bytes depend on: numpy's version, this file's source, the C library
+    and the class means, which run the generator's one BLAS/LAPACK step."""
+    spec_id = hashlib.sha256(repr(astuple(spec)).encode()).hexdigest()[:16]
+    means = _class_means(spec.num_classes, spec.input_dim, spec.class_sep,
+                         np.random.default_rng(spec.seed))
+    key = hashlib.sha256(repr((astuple(spec), np.__version__, platform.libc_ver())).encode())
+    key.update(Path(__file__).read_bytes())
+    key.update(means.tobytes())
+    return spec_id, f"{spec_id}-{key.hexdigest()[:16]}"
+
+
+def _cache_paths(stem: str) -> tuple[Path, Path]:
+    """(features, labels) files under $XDG_CACHE_HOME/fedbench, else ~/.cache/fedbench."""
+    root = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "fedbench"
+    return root / f"{stem}.features.npy", root / f"{stem}.labels.npy"
+
+
+def _read_cached(spec: SyntheticSpec, stem: str) -> tuple[Dataset, Dataset] | None:
+    """spec's split mapped read-only from the cache; None when the files are
+    missing, unreadable or not shaped as spec's split."""
+    n_train = spec.num_classes * spec.train_per_class
+    n = n_train + spec.num_classes * spec.test_per_class
+    try:
+        # open_memmap reads only the .npy format, and never unpickles.
+        features, labels = (np.lib.format.open_memmap(path, mode="r").view(np.ndarray)
+                            for path in _cache_paths(stem))
+    except (OSError, ValueError):
+        return None
+    if (features.dtype != np.float64 or features.shape != (n, spec.input_dim)
+            or not features.flags.c_contiguous
+            or labels.dtype != np.int64 or labels.shape != (n,)):
+        return None
+    return (Dataset(features[:n_train], labels[:n_train]),
+            Dataset(features[n_train:], labels[n_train:]))
+
+
+def _save_rows(path: Path, parts: list[Array]) -> None:
+    """Write parts stacked row-wise as one .npy file, copying none of them."""
+    header = np.lib.format.header_data_from_array_1_0(parts[0])
+    header["shape"] = (sum(len(part) for part in parts), *parts[0].shape[1:])
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for part in parts:
+            part.tofile(fh)
+
+
+def _write_cached(split: tuple[Dataset, Dataset], spec_id: str, stem: str) -> None:
+    """Store split under stem, replacing the spec's files kept under other keys;
+    an unwritable cache skips the write."""
+    features, labels = _cache_paths(stem)
+    try:
+        features.parent.mkdir(parents=True, exist_ok=True)
+        for old in features.parent.glob(f"*{spec_id}-*"):
+            if stem not in old.name:
+                old.unlink(missing_ok=True)
+        # Features go last: a reader finds them only beside their labels.
+        _save_rows(labels, [ds.labels for ds in split])
+        _save_rows(features, [ds.features for ds in split])
+    except OSError:
+        pass
+
+
+def _generated_split(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
+    """generate_synthetic(spec), read from the machine's cache when stored
+    there and stored there when not."""
+    spec.validate()
+    spec_id, stem = _cache_stem(spec)
+    split = _read_cached(spec, stem)
+    if split is None:
+        split = generate_synthetic(spec)
+        _write_cached(split, spec_id, stem)
+    return split
+
+
 def _idx_pair(root: Path, split: str) -> tuple[Path, Path]:
     images_name, labels_name = IDX_FILES[split]
     for suffix in ("", ".gz"):
@@ -309,6 +400,11 @@ def load_dataset(
     synthmnist is the fixed 784-dim surrogate used when MNIST is absent.
     Loaded files must match the dataset's width and class count. The split's
     arrays are read-only, since every later caller in the process shares them.
+
+    A generated split is stored once per machine under $XDG_CACHE_HOME/fedbench
+    (default ~/.cache/fedbench), keyed by everything its bytes depend on, and
+    later loads memory-map it. A missing or damaged store is a miss: the split
+    is generated and stored again. An unwritable cache only skips the store.
     """
     global _last_split
     width, classes = dataset_shape(name, synthetic)
@@ -319,7 +415,7 @@ def load_dataset(
         return _last_split[1]
     _last_split = None  # free the old split before the new one loads
     if spec is not None:
-        split = generate_synthetic(spec)
+        split = _generated_split(spec)
     elif root is None:
         raise IngestionError(f"dataset {name!r} needs --data-dir or FEDBENCH_DATA_DIR")
     else:

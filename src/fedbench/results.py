@@ -19,7 +19,6 @@ import datetime
 import json
 import os
 import platform
-from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -27,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import config_to_dict, run_identity, run_name
+from .data import _replacing
 from .errors import ConfigError
 from .partition import GENERATOR_NAME
 from .simulation import ExperimentConfig, ExperimentResult, RoundMetrics, blas_threads
@@ -48,18 +48,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-@contextmanager
-def _replacing(path: Path):
-    """Yield a temporary name beside path (np.savez keeps its suffix), moved onto
-    path once the body has written it: path never holds a partial file."""
-    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _blas_build() -> dict:

@@ -1,12 +1,16 @@
 """Ingestion: IDX parsing, CIFAR-10 binary batches, synthetic blobs."""
 
 import gzip
+import hashlib
+import multiprocessing
+import os
 import re
 import struct
 import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,13 +374,77 @@ class TestDatasetShape:
 
 SMALL = SyntheticSpec(num_classes=3, train_per_class=20, test_per_class=5,
                       input_dim=6, seed=5)
+# Large enough that four processes generate and write it at once.
+RACED = SyntheticSpec(num_classes=4, train_per_class=500, test_per_class=100,
+                      input_dim=64, seed=11)
+
+
+def load_anew(spec=SMALL):
+    """Load spec's split past the process's entry, from the disk cache or the generator."""
+    fedbench.data._last_split = None
+    return load_dataset("synthetic", synthetic=spec)
+
+
+def stored_files(cache_home):
+    return sorted(p.name for p in (cache_home / "fedbench").iterdir())
+
+
+def stored_pair(cache_home):
+    """The (features, labels) paths of the one split stored under cache_home."""
+    return (next((cache_home / "fedbench").glob("*.features.npy")),
+            next((cache_home / "fedbench").glob("*.labels.npy")))
+
+
+def split_digest(split):
+    digest = hashlib.sha256()
+    for ds in split:
+        digest.update(ds.features.tobytes())
+        digest.update(ds.labels.tobytes())
+    return digest.hexdigest()
+
+
+def load_when_all_ready(cache_home, ready, results):
+    """Spawned-process body: load RACED into cache_home together with the others."""
+    os.environ["XDG_CACHE_HOME"] = cache_home
+    ready.wait(timeout=60)
+    results.put(split_digest(load_dataset("synthetic", synthetic=RACED)))
+
+
+def truncate(features, labels):
+    features.write_bytes(features.read_bytes()[:-8])
+
+
+def reshape(features, labels):
+    np.save(features, np.load(features).reshape(-1, 3))
+
+
+def narrow(features, labels):
+    np.save(features, np.load(features).astype(np.float32))
+
+
+def reorder(features, labels):
+    np.save(features, np.asfortranarray(np.load(features)))
+
+
+def shorten_labels(features, labels):
+    np.save(labels, np.load(labels)[:-1])
+
+
+def overwrite(features, labels):
+    features.write_bytes(b"not an array file")
+
+
+def drop_features(features, labels):
+    features.unlink()
 
 
 class TestSplitCache:
     @pytest.fixture(autouse=True)
-    def generations(self, monkeypatch):
-        """Start each test with a cold cache; count the generator's calls."""
+    def generations(self, monkeypatch, tmp_path):
+        """Start each test with a cold cache, in the process and on disk; count
+        the generator's calls."""
         monkeypatch.setattr(fedbench.data, "_last_split", None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         calls = []
         real = fedbench.data.generate_synthetic
 
@@ -499,3 +567,73 @@ class TestSplitCache:
         learning = [[(r.acc, r.loss) for r in res.metrics] for res in (cold, warm)]
         assert learning[0] == learning[1]
         assert np.array_equal(cold.final_params, warm.final_params)
+
+    def test_disk_hit_equals_the_generator(self, generations):
+        load_anew()
+        hit = load_anew()
+        assert len(generations) == 1
+        for ds, ref in zip(hit, generate_synthetic(SMALL)):
+            for got, want in ((ds.features, ref.features), (ds.labels, ref.labels)):
+                assert_same_bits(got, want)
+                assert type(got) is np.ndarray and not got.flags.writeable
+
+    @pytest.mark.parametrize("damage", [truncate, reshape, narrow, reorder,
+                                        shorten_labels, overwrite, drop_features])
+    def test_damaged_store_is_ignored_and_rewritten(self, damage, generations, tmp_path):
+        load_anew()
+        damage(*stored_pair(tmp_path))
+        split = load_anew()
+        assert len(generations) == 2
+        assert split_digest(split) == split_digest(generate_synthetic(SMALL))
+        assert split_digest(load_anew()) == split_digest(split)
+        assert len(generations) == 2
+        assert len(stored_files(tmp_path)) == 2
+
+    @pytest.mark.parametrize("change", ["spec", "numpy", "source"])
+    def test_key_change_misses(self, change, generations, tmp_path, monkeypatch):
+        load_anew()
+        spec = SMALL
+        if change == "spec":
+            spec = replace(SMALL, class_sep=SMALL.class_sep + 1.0)
+        elif change == "numpy":
+            monkeypatch.setattr(np, "__version__", np.__version__ + "+other")
+        else:
+            edited = tmp_path / "data.py"
+            edited.write_text(Path(fedbench.data.__file__).read_text() + "# edited\n")
+            monkeypatch.setattr(fedbench.data, "__file__", str(edited))
+        load_anew(spec)
+        load_anew(spec)
+        assert len(generations) == 2
+        # One pair per spec: a new key for the same spec replaces the old pair.
+        assert len(stored_files(tmp_path)) == (4 if change == "spec" else 2)
+
+    def test_cache_under_a_regular_file_still_loads(self, generations, tmp_path, monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        first, second = load_anew(), load_anew()
+        assert len(generations) == 2
+        assert split_digest(first) == split_digest(second)
+
+    def test_concurrent_cold_loads_leave_one_pair(self, generations, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        ready, results = ctx.Barrier(4), ctx.Queue()
+        procs = [ctx.Process(target=load_when_all_ready, args=(str(tmp_path), ready, results))
+                 for _ in range(4)]
+        for proc in procs:
+            proc.start()
+        try:
+            digests = [results.get(timeout=120) for _ in procs]
+        finally:
+            for proc in procs:
+                proc.join(timeout=60)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join(timeout=10)
+        assert not any(proc.is_alive() for proc in procs)
+        assert [proc.exitcode for proc in procs] == [0] * 4
+        assert digests == [split_digest(generate_synthetic(RACED))] * 4
+        assert len(stored_files(tmp_path)) == 2
+        assert not any(name.startswith(".") for name in stored_files(tmp_path))
+        assert split_digest(load_anew(RACED)) == digests[0]
+        assert not generations
