@@ -132,8 +132,9 @@ _NOISE_TRUNCATION = 2.0
 
 @contextmanager
 def _replacing(path: Path):
-    """Yield a temporary name beside path (np.savez keeps its suffix), moved onto
-    path once the body has written it: path never holds a partial file."""
+    """Yield a temporary name beside path (np.save and np.savez keep its
+    suffix), moved onto path once the body has written it: path never holds a
+    partial file."""
     tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp{path.suffix}")
     try:
         yield tmp
@@ -258,7 +259,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     Means sit on a scaled simplex so the classes are linearly separable;
     the affine rescale to [0, 1] preserves separability. One draw covers
     train + test; each class's first train_per_class rows (in shuffled
-    order) are its training rows. Train and test are row slices of one buffer.
+    order) are its training rows. Train and test are row slices of one
+    features buffer and one labels buffer.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -283,10 +285,15 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     train_mask = np.zeros(n, dtype=bool)
     for c in range(spec.num_classes):
         train_mask[np.flatnonzero(labels == c)[: spec.train_per_class]] = True
-    train_rows, test_rows = np.flatnonzero(train_mask), np.flatnonzero(~train_mask)
-    _permute_rows(features, order[np.concatenate([train_rows, test_rows])])
-    return (Dataset(features[: len(train_rows)], labels[train_rows]),
-            Dataset(features[len(train_rows) :], labels[test_rows]))
+    rows = np.concatenate([np.flatnonzero(train_mask), np.flatnonzero(~train_mask)])
+    _permute_rows(features, order[rows])
+    return _split(features, labels[rows], spec.num_classes * spec.train_per_class)
+
+
+def _split(features: Array, labels: Array, n_train: int) -> tuple[Dataset, Dataset]:
+    """(train, test): the first n_train rows of each buffer, and the rest."""
+    return (Dataset(features[:n_train], labels[:n_train]),
+            Dataset(features[n_train:], labels[n_train:]))
 
 
 def _cache_stem(spec: SyntheticSpec) -> tuple[str, str]:
@@ -323,23 +330,13 @@ def _read_cached(spec: SyntheticSpec, stem: str) -> tuple[Dataset, Dataset] | No
             or not features.flags.c_contiguous
             or labels.dtype != np.int64 or labels.shape != (n,)):
         return None
-    return (Dataset(features[:n_train], labels[:n_train]),
-            Dataset(features[n_train:], labels[n_train:]))
-
-
-def _save_rows(path: Path, parts: list[Array]) -> None:
-    """Write parts stacked row-wise as one .npy file, copying none of them."""
-    header = np.lib.format.header_data_from_array_1_0(parts[0])
-    header["shape"] = (sum(len(part) for part in parts), *parts[0].shape[1:])
-    with _replacing(path) as tmp, open(tmp, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for part in parts:
-            part.tofile(fh)
+    return _split(features, labels, n_train)
 
 
 def _write_cached(split: tuple[Dataset, Dataset], spec_id: str, stem: str) -> None:
     """Store split under stem, replacing the spec's files kept under other keys;
-    an unwritable cache skips the write."""
+    an unwritable cache skips the write. split is generate_synthetic's, so the
+    train and test rows of each array share one buffer, which is written whole."""
     features, labels = _cache_paths(stem)
     try:
         features.parent.mkdir(parents=True, exist_ok=True)
@@ -347,8 +344,9 @@ def _write_cached(split: tuple[Dataset, Dataset], spec_id: str, stem: str) -> No
             if stem not in old.name:
                 old.unlink(missing_ok=True)
         # Features go last: a reader finds them only beside their labels.
-        _save_rows(labels, [ds.labels for ds in split])
-        _save_rows(features, [ds.features for ds in split])
+        for path, rows in ((labels, split[0].labels), (features, split[0].features)):
+            with _replacing(path) as tmp:
+                np.save(tmp, rows.base)
     except OSError:
         pass
 

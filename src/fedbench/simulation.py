@@ -2,9 +2,8 @@
 evaluation, and per-round metric capture.
 
 Learning metrics (accuracy, loss) are a pure function of the experiment
-configuration; timing metrics are measured times (clients' and folds'
-thread CPU time, the finishing aggregate's wall time) and exempt from the
-determinism contract.
+configuration; timing metrics are measured thread CPU times and exempt from
+the determinism contract.
 
 Importing this module sets the process's thread policy: OpenBLAS runs one
 thread, and a run trains its clients on a pool of one thread per usable core
@@ -15,8 +14,8 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
 import time
+from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -274,47 +273,27 @@ def run_round(
     round_idx: int,
     cfg: ExperimentConfig,
     evaluation: Dataset,
-    pool: Executor,
+    pool: ThreadPoolExecutor,
 ) -> tuple[Array, RoundMetrics]:
     """Execute one communication round and measure the paper-style metrics.
 
     cfg is the run's config: it supplies the model, the client
     optimizer, the master seed and the adversary. A client's id is its
     index in clients. Clients train on pool, and each checks and corrupts
-    its own reply there. Replies are folded into the aggregate on the pool
-    threads in client order: a reply that arrives before a lower-numbered
-    one waits in a stash, and the thread that folds its predecessor folds
-    it. A client's times are its thread's CPU time, so waiting for a core
-    does not count: train_time_s is the sum of the clients' broadcast-to-
-    reply times (transfers included) and comm_time_s the sum of their
-    downlink and uplink transfer times. agg_time_s is the folds' thread CPU
-    time plus the wall time of the Strategy.aggregate call that finishes
-    the fold.
+    its own reply there. The calling thread folds the replies into the
+    aggregate in client order as they arrive; at most 2W clients (W pool
+    threads) are submitted and not yet folded. All three times are
+    thread CPU time, so waiting for a core does not count: train_time_s is
+    the sum of the clients' broadcast-to-reply times (transfers included),
+    comm_time_s the sum of their downlink and uplink transfer times, and
+    agg_time_s the calling thread's time in the folds and in the
+    Strategy.aggregate call that finishes them.
     """
     if not clients:
         raise ConfigError("round needs at least one client")
     fold = strategy.start(global_params, [len(c) for c in clients])
-    stash: dict[int, ClientUpdate] = {}
-    lock = threading.Lock()
-    next_id = 0  # the client whose reply is folded next
 
-    def fold_in_order(update: ClientUpdate) -> float:
-        """Stash update; if its turn has come, fold it and every stashed
-        reply after it. next_id moves only after a fold, so one thread folds
-        at a time. Returns the thread CPU seconds this took."""
-        nonlocal next_id
-        start = time.thread_time()
-        with lock:
-            stash[update.client_id] = update
-            ready = stash.pop(next_id, None)
-        while ready is not None:
-            fold.add(ready)
-            with lock:
-                next_id += 1
-                ready = stash.pop(next_id, None)
-        return time.thread_time() - start
-
-    def train_client(client_id: int) -> tuple[float, float, float]:
+    def train_client(client_id: int) -> tuple[ClientUpdate, float, float]:
         shard = clients[client_id]
         start = time.thread_time()
         local_params, down = _transfer(global_params)
@@ -332,22 +311,35 @@ def run_round(
             )
         update = ClientUpdate(client_id, new_params=received, num_samples=len(shard))
         adversary_rng = derived_rng(cfg.master_seed, round_idx, client_id, _TAG_ADVERSARY)
-        folding = fold_in_order(corrupt(update, cfg.adversary, global_params, adversary_rng))
-        return busy, down + up, folding
+        return corrupt(update, cfg.adversary, global_params, adversary_rng), busy, down + up
 
     train_time = comm_time = agg_time = 0.0
-    # pool.map yields in client order and raises a client's error at its
-    # place in that order, cancelling the clients not yet started.
-    for busy, transfers, folding in pool.map(train_client, range(len(clients))):
-        train_time += busy
-        comm_time += transfers
-        agg_time += folding
+    # As pool.map does, the loop takes the replies in client order and raises
+    # a client's error at its place in that order, cancelling the clients not
+    # yet started. Unlike pool.map, it submits a client only once the reply
+    # 2W places before it is folded (W pool threads), so that replies cannot
+    # pile up while this thread waits for the GIL or for a core.
+    window = 2 * pool._max_workers
+    futures = deque(pool.submit(train_client, k) for k in range(min(window, len(clients))))
+    try:
+        for later in range(window, len(clients) + window):
+            update, busy, transfers = futures.popleft().result()
+            train_time += busy
+            comm_time += transfers
+            agg_start = time.thread_time()
+            fold.add(update)
+            agg_time += time.thread_time() - agg_start
+            if later < len(clients):
+                futures.append(pool.submit(train_client, later))
+    finally:
+        for future in futures:
+            future.cancel()
 
-    agg_start = time.perf_counter()
+    agg_start = time.thread_time()
     new_params = strategy.aggregate(
         global_params, fold, rng=derived_rng(cfg.master_seed, round_idx, _TAG_DP)
     )
-    agg_time += time.perf_counter() - agg_start
+    agg_time += time.thread_time() - agg_start
 
     if not np.all(np.isfinite(new_params)):
         raise NumericError(f"aggregation produced non-finite parameters in round {round_idx}")

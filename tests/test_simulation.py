@@ -157,6 +157,26 @@ class TestRunRound:
         assert metrics.train_time_s > 0
         assert metrics.comm_time_s > 0
 
+    def test_agg_time_counts_the_folds_and_not_training(self, pool, monkeypatch):
+        spec, shards, evaluation = self.setup_round()
+        spin = 0.02  # thread CPU seconds per fold, far above a tiny client's training
+        real_add = Fold.add
+
+        def spinning_add(self, update):
+            end = time.thread_time() + spin
+            while time.thread_time() < end:
+                pass
+            return real_add(self, update)
+
+        monkeypatch.setattr(Fold, "add", spinning_add)
+        _, metrics = run_round(
+            init_model(spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")), 1,
+            cfg=ExperimentConfig(model=spec, local=LocalOptimizerConfig(), master_seed=5),
+            evaluation=evaluation, pool=pool,
+        )
+        assert metrics.agg_time_s >= len(shards) * spin
+        assert metrics.train_time_s < len(shards) * spin
+
     def test_non_finite_client_params_abort_with_context(self, pool):
         spec, shards, evaluation = self.setup_round()
         shards[2].features[0, 0] = np.nan
@@ -359,7 +379,7 @@ class TestRunExperiment:
     def test_midrun_protocol_error_keeps_completed_rounds(self, monkeypatch):
         cfg = tiny_config(strategy=StrategyConfig(kind="fedavgm"), rounds=5)
         real_add = Fold.add
-        adds = itertools.count()  # one thread folds at a time, in round and client order
+        adds = itertools.count()  # the round's thread folds, in round and client order
 
         def failing_add(self, update):
             if next(adds) == 2 * cfg.num_clients + 1:  # round 3's second reply
@@ -597,8 +617,9 @@ class TestClientThreads:
 
 
 class TestFold:
-    """Replies are folded into the aggregate on the pool threads as they
-    arrive, in client order."""
+    """The thread that calls run_round folds the replies into the aggregate
+    in client order, with at most 2W clients (W pool threads) submitted and
+    not yet folded."""
 
     spec = ModelSpec(input_dim=64, hidden_dims=[256], output_classes=10)  # 19,210 parameters
 
@@ -616,8 +637,7 @@ class TestFold:
     def test_server_memory_does_not_grow_with_clients(self, kind):
         """One round's traced peak at 40 clients is within 4 parameter
         vectors of the peak at 10: the replies are not all held at once.
-        One client thread, so no reply waits in the stash for a slower one;
-        how many do depends on the scheduler."""
+        One client thread, so at most two replies wait to be folded."""
         params = init_model(self.spec, 1)
         peaks = []
         for num_clients in (10, 40):
@@ -631,6 +651,32 @@ class TestFold:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 4 * params.nbytes, peaks
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_replies_waiting_for_a_slow_fold_are_bounded(self, monkeypatch, workers):
+        """While the round's thread sleeps in each fold, the pool could train
+        every client; at most 2W replies are trained and not yet folded."""
+        shards, evaluation, cfg = self.round_inputs(20)
+        finished, waiting = [], []
+        real_train_local, real_add = fedbench.simulation.train_local, Fold.add
+
+        def recording_train_local(*args, **kwargs):
+            trained = real_train_local(*args, **kwargs)
+            finished.append(None)
+            return trained
+
+        def sleeping_add(self, update):
+            time.sleep(0.005)
+            waiting.append(len(finished) - self.added)
+            return real_add(self, update)
+
+        monkeypatch.setattr(fedbench.simulation, "train_local", recording_train_local)
+        monkeypatch.setattr(Fold, "add", sleeping_add)
+        with ThreadPoolExecutor(workers) as pool:
+            run_round(init_model(self.spec, 1), shards, Strategy(StrategyConfig(kind="fedavg")),
+                      1, cfg, evaluation, pool)
+        assert len(waiting) == len(shards)
+        assert max(waiting) <= 2 * workers
 
     def late_first_clients(self, monkeypatch, shards, wrong_length=None):
         """Clients 0 and 1 start training only once the last client has
@@ -678,7 +724,7 @@ class TestFold:
         finished, fold_threads = self.late_first_clients(monkeypatch, shards)
         assert one_round(3) == serial
         assert finished[:3] == [2, 3, 4] and sorted(finished[3:]) == [0, 1, 5]
-        assert fold_threads and threading.main_thread().ident not in fold_threads
+        assert fold_threads == {threading.get_ident()}  # the thread that called run_round
 
     def test_wrong_length_reply_after_a_later_one_names_its_client(self, monkeypatch):
         shards, evaluation, cfg = self.round_inputs(6)
