@@ -21,7 +21,14 @@ import fedbench.cli
 import fedbench.data
 from fedbench.cli import _expand_runs, main
 from fedbench.config import config_from_dict, config_to_dict, parse_config
-from fedbench.errors import ConfigError, FedbenchError
+from fedbench.errors import (
+    ConfigError,
+    FedbenchError,
+    IngestionError,
+    NumericError,
+    ProtocolError,
+    ShapeError,
+)
 from fedbench.simulation import blas_threads, default_client_threads, replica_seed, run_experiment
 from test_data import write_cifar_files, write_mnist_files
 
@@ -612,6 +619,18 @@ def test_config_that_is_not_a_text_file_exits_1(make, tmp_path, capsys):
     for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
         assert main([*command, "--config", str(path)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [IngestionError, ShapeError, NumericError, ProtocolError])
+def test_fedbench_error_outside_a_run_exits_2(error, config_path, tmp_path, monkeypatch, capsys):
+    def fail(path):
+        raise error(f"{path}: unusable")
+
+    monkeypatch.setattr(fedbench.cli, "parse_config", fail)
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main([*command, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {config_path}: unusable\n"
     assert not (tmp_path / "out").exists()
 
 

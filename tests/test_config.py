@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -304,6 +305,25 @@ class TestSnapshot:
         snapshot["partition"]["seed"] = 123
         snapshot["model"]["init_seed"] = 456
         assert config_from_dict(snapshot) == cfg
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda s: s.pop("train_subset"), lambda c: replace(c, train_subset=None),
+                     id="older_lacks_a_key"),
+        pytest.param(lambda s: s["partition"].pop("mode"),
+                     lambda c: replace(c, partition=PartitionSpec(alpha=c.partition.alpha)),
+                     id="older_lacks_a_nested_key"),
+        pytest.param(lambda s: s.update(clients_per_round=5), lambda c: c,
+                     id="newer_has_an_unknown_key"),
+        pytest.param(lambda s: s["strategy"].update(server_nesterov=True), lambda c: c,
+                     id="newer_has_an_unknown_nested_key"),
+    ])
+    def test_older_and_newer_snapshots_load(self, edit, expected, tmp_path):
+        # A key absent from the snapshot takes its field's default; a key
+        # that no field has is ignored.
+        (cfg,) = parse_config(write(tmp_path, BASELINE))
+        snapshot = json.loads(json.dumps(config_to_dict(cfg)))
+        edit(snapshot)
+        assert config_from_dict(snapshot) == expected(cfg)
 
     def test_shipped_configs_round_trip(self):
         assert {name: set(keys) for name, (_, keys) in _SECTIONS.items()} == SETTABLE_KEYS

@@ -189,6 +189,23 @@ class TestCifar:
             load_cifar10(tmp_path, "train")
 
 
+def load_idx_in(root):
+    return load_idx_dataset(root / "images", root / "labels")
+
+
+@pytest.mark.parametrize("name, content, load, message", [
+    pytest.param("images", b"\x00\x00\x08", load_idx_in, "truncated header", id="idx_header"),
+    pytest.param("images", struct.pack(">II", 0x00000803, 2), load_idx_in,
+                 "truncated dimension header", id="idx_dimensions"),
+    pytest.param("data_batch_1.bin", bytes(2 * 3073 + 5), lambda root: load_cifar10(root, "train"),
+                 "size 6151 not a multiple of 3073", id="cifar_record"),
+])
+def test_malformed_file_is_named_in_the_error(name, content, load, message, tmp_path):
+    (tmp_path / name).write_bytes(content)
+    with pytest.raises(IngestionError, match=re.escape(f"{tmp_path / name}: {message}")):
+        load(tmp_path)
+
+
 def reference_generate_synthetic(spec):
     """The generator as an out-of-place chain of full-size arrays: gather the
     class means, add the noise, shuffle, clip, rescale, mask."""

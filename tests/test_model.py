@@ -1,5 +1,7 @@
 """Model core: parameter layout, gradients vs finite differences, optimizers."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,35 @@ class TestOptimizers:
             LocalOptimizerConfig(local_epochs=0).validate()
         with pytest.raises(ConfigError):
             LocalOptimizerConfig(kind="rmsprop").validate()
+
+
+LINEAR = ModelSpec(input_dim=4, hidden_dims=[], output_classes=3)
+
+
+def linear_loss_grad(features, labels):
+    return forward_loss_grad(np.zeros(LINEAR.param_count()), LINEAR, features, labels)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: LocalOptimizerConfig(learning_rate=-0.1).validate(), ConfigError,
+                 "local.learning_rate must be >= 0, got -0.1", id="negative_lr"),
+    pytest.param(lambda: LocalOptimizerConfig(adam_beta1=1.0).validate(), ConfigError,
+                 "local.adam_beta1 must be in [0, 1), got 1.0", id="beta1_one"),
+    pytest.param(lambda: LocalOptimizerConfig(adam_beta2=-0.5).validate(), ConfigError,
+                 "local.adam_beta2 must be in [0, 1), got -0.5", id="beta2_negative"),
+    pytest.param(lambda: LocalOptimizerConfig(adam_epsilon=0.0).validate(), ConfigError,
+                 "local.adam_epsilon must be > 0, got 0.0", id="epsilon_zero"),
+    pytest.param(lambda: linear_loss_grad(np.zeros((2, 4)), np.array([0, 1, 2])), ShapeError,
+                 "labels shape (3,) does not match batch of 2", id="labels_shape"),
+    pytest.param(lambda: linear_loss_grad(np.zeros((0, 4)), np.array([], dtype=np.int64)),
+                 ShapeError, "batch must be a nonempty 2-D array, got shape (0, 4)",
+                 id="empty_batch"),
+    pytest.param(lambda: linear_loss_grad(np.zeros(4), np.array([0])), ShapeError,
+                 "batch must be a nonempty 2-D array, got shape (4,)", id="1d_batch"),
+])
+def test_bad_input_is_named_in_the_error(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestLocalTraining:

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -273,6 +274,20 @@ class TestSummarize:
                 (row,) = list(csv.DictReader(fh))
         for column, value in summarize_rounds(metrics).items():
             assert row[column] == _fmt(value), column
+
+    @pytest.mark.parametrize("damage, error", [
+        (lambda path: path.write_text("{"), "JSONDecodeError"),
+        (Path.mkdir, "IsADirectoryError"),
+        (lambda path: path.write_text("{}"), "KeyError('metadata')"),
+        (lambda path: path.write_text('{"metadata": 3}'), "TypeError"),
+    ], ids=["not_json", "directory", "no_metadata", "metadata_not_an_object"])
+    def test_unreadable_run_json_is_named_in_the_error(self, damage, error, tmp_path):
+        run_json = tmp_path / "run_rep0" / "run.json"
+        run_json.parent.mkdir()
+        damage(run_json)
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{run_json}: cannot read run record: {error}")):
+            write_summary(tmp_path)
 
     def test_mean_rows_for_replicas(self, tmp_path):
         # One replica group, then a grid of kinds x alphas: one mean row per (kind, alpha).

@@ -4,6 +4,7 @@ import copy
 import ctypes
 import itertools
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -335,6 +336,16 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="rounds"):
             run_experiment(tiny_config(rounds=0))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_clients", 0, "experiment.num_clients must be >= 1, got 0"),
+        ("master_seed", -1, "experiment.master_seed must be >= 0, got -1"),
+        ("train_subset", 0, "experiment.train_subset must be >= 1, got 0"),
+        ("eval_subset", -3, "experiment.eval_subset must be >= 1, got -3"),
+    ])
+    def test_out_of_range_experiment_key_rejected_before_running(self, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_experiment(tiny_config(**{key: value}))
+
     def test_metric_series_deterministic(self):
         a = run_experiment(tiny_config())
         b = run_experiment(tiny_config())
@@ -633,18 +644,20 @@ class TestFold:
                                local=LocalOptimizerConfig(kind="sgd", batch_size=rows))
         return shards, evaluation, cfg
 
-    @pytest.mark.parametrize("kind", ["fedavg", "dp"])
-    def test_server_memory_does_not_grow_with_clients(self, kind):
+    @pytest.mark.parametrize("kind, workers", [
+        pytest.param(kind, workers, id=kind if workers == 1 else f"{kind}-{workers}threads")
+        for workers in (1, 2) for kind in ("fedavg", "dp")])
+    def test_server_memory_does_not_grow_with_clients(self, kind, workers):
         """One round's traced peak at 40 clients is within 4 parameter
         vectors of the peak at 10: the replies are not all held at once.
-        One client thread, so at most two replies wait to be folded."""
+        At most 2W replies (W client threads) wait to be folded."""
         params = init_model(self.spec, 1)
         peaks = []
         for num_clients in (10, 40):
             shards, evaluation, cfg = self.round_inputs(num_clients)
             tracemalloc.start()
             try:
-                with ThreadPoolExecutor(1) as pool:
+                with ThreadPoolExecutor(workers) as pool:
                     run_round(params, shards, Strategy(StrategyConfig(kind=kind)), 1, cfg,
                               evaluation, pool)
                 peaks.append(tracemalloc.get_traced_memory()[1])

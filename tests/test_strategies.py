@@ -2,7 +2,9 @@
 
 import copy
 import math
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -540,6 +542,13 @@ class TestDpAggregate:
             )
             history.append(strategy.state.clip_norm)
         assert all(a < b for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize("clip", [0.0, -0.5])
+    def test_fold_rejects_a_clip_norm_that_is_not_positive(self, clip):
+        strategy = Strategy(StrategyConfig(kind="dp"))
+        strategy.state = replace(strategy.state, clip_norm=clip)
+        with pytest.raises(ConfigError, match=re.escape(f"clip norm must be > 0, got {clip}")):
+            strategy.start(np.zeros(3), [1, 1])
 
     def test_clip_norm_reported_only_when_clipping(self):
         strategy = Strategy(self.cfg(dp_initial_clip=0.5))
