@@ -21,6 +21,6 @@ from .errors import (
 from .model import LocalOptimizerConfig, ModelSpec
 from .partition import PartitionSpec
 from .simulation import ExperimentConfig, ExperimentResult, RoundMetrics, run_experiment
-from .strategies import ClientUpdate, Strategy, StrategyConfig, StrategyState
+from .strategies import Strategy, StrategyConfig, StrategyState
 from .config import parse_config
 from .results import write_results, write_summary

@@ -6,12 +6,11 @@ Attacks operate on the delta relative to the round's global weights so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .strategies import ClientUpdate
 
 Array = np.ndarray
 
@@ -41,17 +40,17 @@ class AdversarySpec:
 
 
 def corrupt(
-    update: ClientUpdate,
+    client_id: int,
+    new_params: Array,
     spec: AdversarySpec,
     global_params: Array,
     rng: np.random.Generator,
-) -> ClientUpdate:
-    """Apply the configured attack to one update; untouched clients pass
-    through unchanged."""
-    if spec.kind == "none" or update.client_id not in spec.affected_clients:
-        return update
+) -> Array:
+    """Apply the configured attack to one client's reply; untouched clients
+    pass through unchanged."""
+    if spec.kind == "none" or client_id not in spec.affected_clients:
+        return new_params
     if spec.kind == "scale":
-        delta = update.new_params - global_params
-        return replace(update, new_params=global_params + spec.scale_factor * delta)
+        return global_params + spec.scale_factor * (new_params - global_params)
     # random: replace the model with a seeded Gaussian vector
-    return replace(update, new_params=rng.standard_normal(global_params.shape))
+    return rng.standard_normal(global_params.shape)

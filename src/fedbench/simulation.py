@@ -36,7 +36,7 @@ from .model import (
     local_step,
 )
 from .partition import PartitionSpec, partition
-from .strategies import ClientUpdate, Strategy, StrategyConfig, StrategyState
+from .strategies import Strategy, StrategyConfig, StrategyState
 
 Array = np.ndarray
 
@@ -293,7 +293,7 @@ def run_round(
         raise ConfigError("round needs at least one client")
     fold = strategy.start(global_params, [len(c) for c in clients])
 
-    def train_client(client_id: int) -> tuple[ClientUpdate, float, float]:
+    def train_client(client_id: int) -> tuple[Array, float, float]:
         shard = clients[client_id]
         start = time.thread_time()
         local_params, down = _transfer(global_params)
@@ -309,9 +309,9 @@ def run_round(
             raise NumericError(
                 f"client {client_id} produced non-finite parameters in round {round_idx}"
             )
-        update = ClientUpdate(client_id, new_params=received, num_samples=len(shard))
         adversary_rng = derived_rng(cfg.master_seed, round_idx, client_id, _TAG_ADVERSARY)
-        return corrupt(update, cfg.adversary, global_params, adversary_rng), busy, down + up
+        reply = corrupt(client_id, received, cfg.adversary, global_params, adversary_rng)
+        return reply, busy, down + up
 
     train_time = comm_time = agg_time = 0.0
     # As pool.map does, the loop takes the replies in client order and raises
@@ -322,23 +322,21 @@ def run_round(
     window = 2 * pool._max_workers
     futures = deque(pool.submit(train_client, k) for k in range(min(window, len(clients))))
     try:
-        for later in range(window, len(clients) + window):
-            update, busy, transfers = futures.popleft().result()
+        for k in range(len(clients)):
+            reply, busy, transfers = futures.popleft().result()
             train_time += busy
             comm_time += transfers
             agg_start = time.thread_time()
-            fold.add(update)
+            fold.add(k, reply)
             agg_time += time.thread_time() - agg_start
-            if later < len(clients):
-                futures.append(pool.submit(train_client, later))
+            if k + window < len(clients):
+                futures.append(pool.submit(train_client, k + window))
     finally:
         for future in futures:
             future.cancel()
 
     agg_start = time.thread_time()
-    new_params = strategy.aggregate(
-        global_params, fold, rng=derived_rng(cfg.master_seed, round_idx, _TAG_DP)
-    )
+    new_params = strategy.aggregate(fold, derived_rng(cfg.master_seed, round_idx, _TAG_DP))
     agg_time += time.thread_time() - agg_start
 
     if not np.all(np.isfinite(new_params)):

@@ -26,18 +26,6 @@ _MEDIAN_BLOCK = 4096  # columns per median sort: a (block, K) scratch, 655 KB at
 
 
 @dataclass
-class ClientUpdate:
-    """One client's round contribution."""
-
-    client_id: int
-    new_params: Array
-    num_samples: int
-
-
-Updates = list[ClientUpdate]
-
-
-@dataclass
 class StrategyConfig:
     """Hyperparameters for all strategy kinds; unused fields are ignored."""
 
@@ -95,28 +83,30 @@ class StrategyState:
 
 class Fold:
     """One round's aggregate in progress. Strategy.start makes it from the
-    round's global params and every client's sample count; add takes the
-    replies one at a time in client order; Strategy.aggregate finishes it.
-    A kind's subclass does the work: _add folds one reply's parameters in,
-    _finish returns (delta, state)."""
+    round's global params and every client's sample count, which fix the
+    weights; add takes the replies one at a time in client order;
+    Strategy.aggregate finishes it. A kind's subclass does the work: _add
+    folds one reply's parameters in, _finish returns (delta, state)."""
 
     def __init__(self, global_params: Array, sample_counts: list[int], state: StrategyState):
         if not sample_counts:
             raise ProtocolError("aggregation received an empty update set")
+        for client_id, count in enumerate(sample_counts):
+            if count < 1:
+                raise ProtocolError(f"client {client_id} reported {count} samples")
         self.global_params = global_params
         self.size = len(sample_counts)
         self.added = 0
 
-    def add(self, update: ClientUpdate) -> None:
+    def add(self, client_id: int, new_params: Array) -> None:
         """Check one reply and fold it in as the next client's."""
-        if update.new_params.shape != self.global_params.shape:
-            raise ShapeError(
-                f"client {update.client_id} sent {update.new_params.shape[0]} parameters, "
-                f"global model has {self.global_params.shape[0]}"
-            )
-        if update.num_samples < 1:
-            raise ProtocolError(f"client {update.client_id} reported {update.num_samples} samples")
-        self._add(update.new_params)
+        if self.added == self.size:
+            raise ProtocolError(f"client {client_id} sent reply {self.added + 1} to a round "
+                                f"started with {self.size} sample counts")
+        if new_params.shape != self.global_params.shape:
+            raise ShapeError(f"client {client_id} sent shape {new_params.shape}, "
+                             f"global model has shape {self.global_params.shape}")
+        self._add(new_params)
         self.added += 1
 
     def finish(self, state: StrategyState, cfg: StrategyConfig,
@@ -137,7 +127,7 @@ class _Mean(Fold):
     def __init__(self, global_params, sample_counts, state):
         super().__init__(global_params, sample_counts, state)
         self.weights = np.array(sample_counts, dtype=np.float64)
-        self.weights /= max(self.weights.sum(), 1.0)  # add rejects a count below 1
+        self.weights /= self.weights.sum()
         self.delta = np.zeros_like(global_params)
         self.scratch = np.empty_like(global_params)
 
@@ -297,24 +287,14 @@ class Strategy:
 
     def start(self, global_params: Array, sample_counts: list[int]) -> Fold:
         """Begin a round's aggregate: sample_counts holds every client's
-        count in client order, and the replies must come in that order."""
+        count in client order, each at least 1, and the replies must come in
+        that order. The counts fix the weights of the mean kinds."""
         return self._row.fold(global_params, sample_counts, self.state)
 
-    def aggregate(
-        self, global_params: Array, updates: Updates | Fold,
-        rng: np.random.Generator | None = None,
-    ) -> Array:
-        """Finish the round's aggregate, take the server step, count the round.
-
-        updates is the round's replies in client order, which are checked and
-        folded here, or a Fold that has taken all of them."""
-        fold = updates
-        if not isinstance(fold, Fold):
-            fold = self.start(global_params, [u.num_samples for u in updates])
-            for u in updates:
-                fold.add(u)
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def aggregate(self, fold: Fold, rng: np.random.Generator) -> Array:
+        """Finish the round's fold, take the server step, count the round.
+        rng feeds the dp noise: pass a new generator each round."""
+        global_params = fold.global_params
         delta, state = fold.finish(self.state, self.cfg, rng)
         step, state = self._row.step(delta, state, self.cfg)
         self.state = replace(state, round_index=state.round_index + 1)

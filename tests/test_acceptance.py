@@ -37,10 +37,10 @@ from fedbench.simulation import replica_seed
 
 from test_partition import balanced_dataset, client_label_skew
 from test_strategies import (
+    aggregate,
     naive_weighted_mean,
     scalar_recurrence_trajectory,
     sort_median,
-    updates_with_params,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -195,20 +195,17 @@ def test_criterion_5_strategy_reduction_equalities():
     ns = [int(n) for n in rng.integers(1, 200, size=10)]
 
     fedavg = Strategy(StrategyConfig())
-    reference = fedavg.aggregate(w_t, updates_with_params(params, ns))
+    reference = aggregate(fedavg, w_t, params, ns)
     avgm = Strategy(StrategyConfig(kind="fedavgm", momentum=0.0, server_lr=1.0))
     prox = Strategy(StrategyConfig(kind="fedprox", prox_mu=0.0))
     dp = Strategy(StrategyConfig(kind="dp", dp_noise_multiplier=0.0,
                                  dp_initial_clip=1e9))
 
-    gap_avgm = np.max(np.abs(
-        avgm.aggregate(w_t, updates_with_params(params, ns)) - reference))
-    gap_prox = np.max(np.abs(
-        prox.aggregate(w_t, updates_with_params(params, ns)) - reference))
-    uniform_reference = fedavg.aggregate(w_t, updates_with_params(params))
+    gap_avgm = np.max(np.abs(aggregate(avgm, w_t, params, ns) - reference))
+    gap_prox = np.max(np.abs(aggregate(prox, w_t, params, ns) - reference))
+    uniform_reference = aggregate(fedavg, w_t, params)
     gap_dp = np.max(np.abs(
-        dp.aggregate(w_t, updates_with_params(params, ns),
-                     rng=np.random.default_rng(0)) - uniform_reference))
+        aggregate(dp, w_t, params, ns, np.random.default_rng(0)) - uniform_reference))
     print(f"\n[criterion 5] reduction gaps: fedavgm={gap_avgm:.2e} "
           f"fedprox={gap_prox:.2e} dp={gap_dp:.2e} (all <= 1e-12)")
     assert gap_avgm <= 1e-12
@@ -222,9 +219,7 @@ def test_criterion_6a_median_oracle_thousand_instances():
         k = int(rng.integers(1, 16))
         dim = int(rng.integers(1, 9))
         params = [rng.normal(size=dim) for _ in range(k)]
-        ours = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
-            np.zeros(dim), updates_with_params(params)
-        )
+        ours = aggregate(Strategy(StrategyConfig(kind="fedmedian")), np.zeros(dim), params)
         assert np.array_equal(ours, sort_median(params))
     print("\n[criterion 6a] fedmedian == sort oracle on 1000 random instances")
 
@@ -244,7 +239,7 @@ def test_criterion_6b_adaptive_recurrence_oracle():
             params = [w + rng.normal(scale=0.3, size=dim) for _ in range(5)]
             ns = [int(n) for n in rng.integers(1, 20, size=5)]
             per_round.append(list(zip([p.copy() for p in params], ns)))
-            w = strategy.aggregate(w, updates_with_params(params, ns))
+            w = aggregate(strategy, w, params, ns)
             trajectory.append(w.copy())
         oracle = scalar_recurrence_trajectory(kind, w_start, per_round, cfg)
         for ours, theirs in zip(trajectory, oracle):
@@ -262,9 +257,7 @@ def test_criterion_6c_weighted_mean_oracle():
         dim = int(rng.integers(1, 40))
         params = [rng.normal(size=dim) for _ in range(k)]
         ns = [int(n) for n in rng.integers(1, 100, size=k)]
-        ours = Strategy(StrategyConfig()).aggregate(
-            np.zeros(dim), updates_with_params(params, ns)
-        )
+        ours = aggregate(Strategy(StrategyConfig()), np.zeros(dim), params, ns)
         worst = max(worst, float(np.max(np.abs(ours - naive_weighted_mean(params, ns)))))
     print(f"\n[criterion 6c] weighted mean vs naive loop: max gap={worst:.2e} "
           f"(<=1e-12)")
@@ -328,15 +321,13 @@ def test_criterion_9_dp_clip_dynamics():
         clip = strategy.state.clip_norm
         below = sum(1 for d in deltas if np.linalg.norm(d) <= clip)
         expected = clip * math.exp(-0.2 * (below / k - 0.5))
-        strategy.aggregate(
-            w_t, updates_with_params([w_t + d for d in deltas]), np.random.default_rng(0)
-        )
+        aggregate(strategy, w_t, [w_t + d for d in deltas], rng=np.random.default_rng(0))
         worst = max(worst, abs(strategy.state.clip_norm - expected))
 
     strategy = Strategy(cfg)
     history = [strategy.state.clip_norm]
     for _ in range(10):
-        strategy.aggregate(w_t, updates_with_params([w_t + 1e-6]), np.random.default_rng(0))
+        aggregate(strategy, w_t, [w_t + 1e-6], rng=np.random.default_rng(0))
         history.append(strategy.state.clip_norm)
     monotone = all(a > b for a, b in zip(history, history[1:]))
     print(f"\n[criterion 9] clip update vs closed form: max gap={worst:.2e} "

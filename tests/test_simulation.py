@@ -135,9 +135,9 @@ class TestRunRound:
         seen = []
         real_add = Fold.add
 
-        def recording_add(self, update):
-            seen.append(update.client_id)
-            return real_add(self, update)
+        def recording_add(self, client_id, new_params):
+            seen.append(client_id)
+            return real_add(self, client_id, new_params)
 
         monkeypatch.setattr(Fold, "add", recording_add)
         run_round(
@@ -163,11 +163,11 @@ class TestRunRound:
         spin = 0.02  # thread CPU seconds per fold, far above a tiny client's training
         real_add = Fold.add
 
-        def spinning_add(self, update):
+        def spinning_add(self, client_id, new_params):
             end = time.thread_time() + spin
             while time.thread_time() < end:
                 pass
-            return real_add(self, update)
+            return real_add(self, client_id, new_params)
 
         monkeypatch.setattr(Fold, "add", spinning_add)
         _, metrics = run_round(
@@ -392,10 +392,10 @@ class TestRunExperiment:
         real_add = Fold.add
         adds = itertools.count()  # the round's thread folds, in round and client order
 
-        def failing_add(self, update):
+        def failing_add(self, client_id, new_params):
             if next(adds) == 2 * cfg.num_clients + 1:  # round 3's second reply
                 raise ProtocolError("injected failure in round 3")
-            return real_add(self, update)
+            return real_add(self, client_id, new_params)
 
         monkeypatch.setattr(Fold, "add", failing_add)
         with pytest.raises(ExperimentAborted) as excinfo:
@@ -678,10 +678,10 @@ class TestFold:
             finished.append(None)
             return trained
 
-        def sleeping_add(self, update):
+        def sleeping_add(self, client_id, new_params):
             time.sleep(0.005)
             waiting.append(len(finished) - self.added)
-            return real_add(self, update)
+            return real_add(self, client_id, new_params)
 
         monkeypatch.setattr(fedbench.simulation, "train_local", recording_train_local)
         monkeypatch.setattr(Fold, "add", sleeping_add)
@@ -712,9 +712,9 @@ class TestFold:
             finished.append(k)
             return trained[:-1] if k == wrong_length else trained
 
-        def recording_add(self, update):
+        def recording_add(self, client_id, new_params):
             fold_threads.add(threading.get_ident())
-            return real_add(self, update)
+            return real_add(self, client_id, new_params)
 
         monkeypatch.setattr(fedbench.simulation, "train_local", gated_train_local)
         monkeypatch.setattr(Fold, "add", recording_add)

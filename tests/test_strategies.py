@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedbench import (
-    ClientUpdate,
     ConfigError,
     ProtocolError,
     ShapeError,
@@ -23,31 +22,30 @@ from fedbench import (
 from fedbench.strategies import _MEDIAN_BLOCK, STRATEGY_KINDS
 
 
-def updates_from(w_t, deltas, num_samples=None):
-    deltas = [np.asarray(d, dtype=np.float64) for d in deltas]
-    if num_samples is None:
-        num_samples = [1] * len(deltas)
-    return [
-        ClientUpdate(client_id=i, new_params=w_t + d, num_samples=n)
-        for i, (d, n) in enumerate(zip(deltas, num_samples))
-    ]
+def with_deltas(w_t, deltas):
+    """Client models w_t + d, one per delta."""
+    return [w_t + np.asarray(d, dtype=np.float64) for d in deltas]
 
 
-def updates_with_params(params_list, num_samples=None):
-    if num_samples is None:
-        num_samples = [1] * len(params_list)
-    return [
-        ClientUpdate(client_id=i, new_params=np.asarray(p, dtype=np.float64), num_samples=n)
-        for i, (p, n) in enumerate(zip(params_list, num_samples))
-    ]
+def filled_fold(strategy, w_t, params, ns=None):
+    """A round's fold that has taken every client's params in client order;
+    each count is 1 when ns is left out."""
+    fold = strategy.start(w_t, [1] * len(params) if ns is None else ns)
+    for k, p in enumerate(params):
+        fold.add(k, np.asarray(p, dtype=np.float64))
+    return fold
 
 
-def fold_delta(kind, w_t, updates):
+def aggregate(strategy, w_t, params, ns=None, rng=None):
+    """One round through the protocol; rng is a generator seeded 0 when left out."""
+    rng = np.random.default_rng(0) if rng is None else rng
+    return strategy.aggregate(filled_fold(strategy, w_t, params, ns), rng)
+
+
+def fold_delta(kind, w_t, params, ns=None):
     """A kind's aggregate before the server step: the delta of one fold."""
     strategy = Strategy(StrategyConfig(kind=kind))
-    fold = strategy.start(w_t, [u.num_samples for u in updates])
-    for u in updates:
-        fold.add(u)
+    fold = filled_fold(strategy, w_t, params, ns)
     return fold.finish(strategy.state, strategy.cfg, np.random.default_rng(0))[0]
 
 
@@ -67,16 +65,17 @@ def round_inputs(draw, max_clients=8):
     return w_t, params, ns
 
 
-def snapshot(updates):
-    """Deep copy of every field of every update."""
-    return [copy.deepcopy(vars(u)) for u in updates]
+def snapshot(params, ns):
+    """Deep copy of a round's inputs: every client's params and count."""
+    return [np.array(p, copy=True) for p in params], list(ns)
 
 
-def assert_unchanged(updates, before):
-    for u, fields in zip(updates, before):
-        assert vars(u).keys() == fields.keys()
-        for name, value in fields.items():
-            assert np.array_equal(getattr(u, name), value), name
+def assert_unchanged(params, ns, before):
+    before_params, before_ns = before
+    assert list(ns) == before_ns
+    assert len(params) == len(before_params)
+    for p, q in zip(params, before_params):
+        assert np.array_equal(p, q)
 
 
 def naive_weighted_mean(params_list, num_samples):
@@ -115,14 +114,14 @@ def dp_clip(update_delta, clip_norm):
     return update_delta * (clip_norm / norm), False
 
 
-def dp_clip_loop(w_t, updates, cfg, clip, rng):
+def dp_clip_loop(w_t, params, cfg, clip, rng):
     """The dp aggregate as a loop over dp_clip: the new global model and the
     next clip norm."""
-    k = len(updates)
+    k = len(params)
     mean_clipped = np.zeros_like(w_t)
     below = 0
-    for u in updates:
-        clipped, was_below = dp_clip(u.new_params - w_t, clip)
+    for p in params:
+        clipped, was_below = dp_clip(p - w_t, clip)
         below += was_below
         mean_clipped += clipped / k
     noise_std = cfg.dp_noise_multiplier * clip / k
@@ -149,31 +148,28 @@ def sort_median(params_list):
 class TestFedAvg:
     def test_single_client_identity(self):
         w_t = np.zeros(2)
-        updates = updates_with_params([[1.0, -2.0]], [5])
-        out = Strategy(StrategyConfig()).aggregate(w_t, updates)
+        out = aggregate(Strategy(StrategyConfig()), w_t, [[1.0, -2.0]], [5])
         assert np.array_equal(out, [1.0, -2.0])
 
     def test_weighted_mean_arithmetic(self):
         w_t = np.zeros(1)
-        updates = updates_with_params([[0.0], [2.0]], [1, 3])
-        assert Strategy(StrategyConfig()).aggregate(w_t, updates)[0] == 1.5
+        assert aggregate(Strategy(StrategyConfig()), w_t, [[0.0], [2.0]], [1, 3])[0] == 1.5
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(17)
         w_t = rng.normal(size=20)
         params = [rng.normal(size=20) for _ in range(5)]
         ns = [int(n) for n in rng.integers(1, 50, size=5)]
-        result = Strategy(StrategyConfig()).aggregate(w_t, updates_with_params(params, ns))
+        result = aggregate(Strategy(StrategyConfig()), w_t, params, ns)
         oracle = naive_weighted_mean(params, ns)
         assert np.max(np.abs(result - oracle)) <= 1e-12
 
     def test_equals_global_plus_pseudo_gradient(self):
         rng = np.random.default_rng(3)
         w_t = rng.normal(size=10)
-        updates = updates_with_params([rng.normal(size=10) for _ in range(4)],
-                                      [3, 1, 7, 2])
-        avg = Strategy(StrategyConfig()).aggregate(w_t, updates)
-        via_delta = w_t + fold_delta("fedavg", w_t, updates)
+        params, ns = [rng.normal(size=10) for _ in range(4)], [3, 1, 7, 2]
+        avg = aggregate(Strategy(StrategyConfig()), w_t, params, ns)
+        via_delta = w_t + fold_delta("fedavg", w_t, params, ns)
         assert np.array_equal(avg, via_delta)
 
     @settings(max_examples=100, deadline=None)
@@ -186,33 +182,48 @@ class TestFedAvg:
         reference = np.zeros_like(w_t)
         for w, p in zip(weights, params):
             reference += w * (p - w_t)
-        updates = updates_with_params(params, ns)
-        before = snapshot(updates)
-        assert np.array_equal(fold_delta("fedavg", w_t, updates), reference)
-        assert_unchanged(updates, before)
+        before = snapshot(params, ns)
+        assert np.array_equal(fold_delta("fedavg", w_t, params, ns), reference)
+        assert_unchanged(params, ns, before)
 
     def test_empty_updates_rejected(self):
         with pytest.raises(ProtocolError):
-            Strategy(StrategyConfig()).aggregate(np.zeros(2), [])
+            Strategy(StrategyConfig()).start(np.zeros(2), [])
 
     def test_fold_missing_a_reply_rejected(self):
         strategy = Strategy(StrategyConfig())
         fold = strategy.start(np.zeros(2), [1, 1])
-        fold.add(ClientUpdate(client_id=0, new_params=np.ones(2), num_samples=1))
+        fold.add(0, np.ones(2))
         with pytest.raises(ProtocolError, match="received 1 of 2 replies"):
-            strategy.aggregate(np.zeros(2), fold)
+            strategy.aggregate(fold, np.random.default_rng(0))
         assert strategy.state.round_index == 0
 
     def test_zero_sample_update_rejected(self):
-        updates = updates_with_params([[1.0, 2.0], [3.0, 4.0]], [5, 0])
         with pytest.raises(ProtocolError, match="client 1 reported 0 samples"):
-            Strategy(StrategyConfig()).aggregate(np.zeros(2), updates)
+            Strategy(StrategyConfig()).start(np.zeros(2), [5, 0])
+
+    def test_zero_count_of_the_first_client_rejected(self):
+        """A zero count is rejected even when the others are positive, so
+        no client silently gets zero weight."""
+        with pytest.raises(ProtocolError, match="client 0 reported 0 samples"):
+            Strategy(StrategyConfig()).start(np.zeros(2), [0, 5])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError, match="client 0"):
-            Strategy(StrategyConfig()).aggregate(
-                np.zeros(2), updates_with_params([[1.0, 2.0, 3.0]])
-            )
+        # A reply of the right size but the wrong shape is named by its shape.
+        for w_t, reply in [(np.zeros(2), np.array([1.0, 2.0, 3.0])),
+                           (np.zeros(6), np.ones((6, 1)))]:
+            with pytest.raises(ShapeError, match="client 0") as excinfo:
+                Strategy(StrategyConfig()).start(w_t, [1]).add(0, reply)
+            assert f"sent shape {reply.shape}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("kind", ["fedavg", "fedmedian", "dp"])
+    def test_reply_beyond_the_started_count_rejected(self, kind):
+        fold = Strategy(StrategyConfig(kind=kind)).start(np.zeros(2), [1, 1])
+        fold.add(0, np.ones(2))
+        fold.add(1, np.ones(2))
+        with pytest.raises(ProtocolError, match="client 2 sent reply 3 .* 2 sample counts"):
+            fold.add(2, np.ones(2))
+        assert fold.added == 2
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(8)
@@ -220,10 +231,8 @@ class TestFedAvg:
         ns = [int(n) for n in rng.integers(1, 9, size=6)]
         c = 3.7
         fedavg = Strategy(StrategyConfig())
-        base = fedavg.aggregate(np.zeros(12), updates_with_params(params, ns))
-        scaled = fedavg.aggregate(
-            np.zeros(12), updates_with_params([c * p for p in params], ns)
-        )
+        base = aggregate(fedavg, np.zeros(12), params, ns)
+        scaled = aggregate(fedavg, np.zeros(12), [c * p for p in params], ns)
         np.testing.assert_allclose(scaled, c * base, rtol=1e-12)
 
 
@@ -234,16 +243,15 @@ class TestFedAvgM:
     def test_zero_momentum_reduces_to_fedavg(self):
         rng = np.random.default_rng(4)
         w_t = rng.normal(size=8)
-        updates = updates_with_params([rng.normal(size=8) for _ in range(5)],
-                                      [2, 5, 1, 1, 3])
-        out = Strategy(self.cfg(0.0, 1.0)).aggregate(w_t, updates)
-        np.testing.assert_allclose(out, Strategy(StrategyConfig()).aggregate(w_t, updates),
+        params, ns = [rng.normal(size=8) for _ in range(5)], [2, 5, 1, 1, 3]
+        out = aggregate(Strategy(self.cfg(0.0, 1.0)), w_t, params, ns)
+        np.testing.assert_allclose(out, aggregate(Strategy(StrategyConfig()), w_t, params, ns),
                                    atol=1e-12)
 
     def test_first_round(self):
         w_t = np.zeros(1)
         strategy = Strategy(self.cfg(0.9, 0.5))
-        out = strategy.aggregate(w_t, updates_from(w_t, [[1.0]]))
+        out = aggregate(strategy, w_t, with_deltas(w_t, [[1.0]]))
         assert strategy.state.momentum_buffer[0] == 1.0
         assert out[0] == 0.5
 
@@ -252,7 +260,7 @@ class TestFedAvgM:
         strategy = Strategy(self.cfg(0.9, 1.0))
         w = np.zeros(1)
         for _ in range(2):
-            w = strategy.aggregate(w, updates_from(w, [[1.0]]))
+            w = aggregate(strategy, w, with_deltas(w, [[1.0]]))
         assert abs(w[0] - 2.9) < 1e-12
         assert strategy.state.round_index == 2
 
@@ -260,9 +268,8 @@ class TestFedAvgM:
 class TestFedAdam:
     def test_zero_delta_fixed_point(self):
         w_t = np.array([1.0, -1.0])
-        out = Strategy(StrategyConfig(kind="fedadam")).aggregate(
-            w_t, updates_from(w_t, [[0.0, 0.0]])
-        )
+        out = aggregate(Strategy(StrategyConfig(kind="fedadam")), w_t,
+                        with_deltas(w_t, [[0.0, 0.0]]))
         assert np.array_equal(out, w_t)
 
     def test_first_round_hand_values(self):
@@ -271,7 +278,7 @@ class TestFedAdam:
             server_lr=0.1, adaptivity=1e-9,
         ))
         w_t = np.zeros(1)
-        out = strategy.aggregate(w_t, updates_from(w_t, [[1.0]]))
+        out = aggregate(strategy, w_t, with_deltas(w_t, [[1.0]]))
         assert abs(strategy.state.first_moment[0] - 0.1) < 1e-15
         assert abs(strategy.state.second_moment[0] - 0.01) < 1e-15
         assert abs(out[0] - 0.1) < 1e-8
@@ -286,7 +293,7 @@ class TestFedAdagrad:
         previous = w[0]
         steps = []
         for r in range(1, 6):
-            w = strategy.aggregate(w, updates_from(w, [[1.0]]))
+            w = aggregate(strategy, w, with_deltas(w, [[1.0]]))
             step = w[0] - previous
             assert abs(step - 1.0 / (math.sqrt(r) + 1e-3)) < 1e-12
             steps.append(step)
@@ -297,14 +304,14 @@ class TestFedAdagrad:
         strategy = Strategy(StrategyConfig(kind="fedadagrad", adam_beta1=0.0,
                                            server_lr=0.1, adaptivity=1e-9))
         w_t = np.zeros(1)
-        out = strategy.aggregate(w_t, updates_from(w_t, [[2.0]]))
+        out = aggregate(strategy, w_t, with_deltas(w_t, [[2.0]]))
         assert abs(strategy.state.second_moment[0] - 4.0) < 1e-15
         assert abs(out[0] - 0.1) < 1e-8
 
     def test_zero_first_round_keeps_state_zero(self):
         strategy = Strategy(StrategyConfig(kind="fedadagrad"))
         w_t = np.array([2.0])
-        out = strategy.aggregate(w_t, updates_from(w_t, [[0.0]]))
+        out = aggregate(strategy, w_t, with_deltas(w_t, [[0.0]]))
         assert np.array_equal(out, w_t)
         assert strategy.state.second_moment[0] == 0.0
         assert strategy.state.round_index == 1
@@ -353,7 +360,7 @@ def test_adaptive_five_round_trajectory_matches_scalar_oracle(kind):
         params = [w + rng.normal(scale=0.5, size=dim) for _ in range(4)]
         ns = [int(n) for n in rng.integers(1, 10, size=4)]
         per_round.append(list(zip([p.copy() for p in params], ns)))
-        w = strategy.aggregate(w, updates_with_params(params, ns))
+        w = aggregate(strategy, w, params, ns)
         trajectory.append(w.copy())
 
     # Oracle consumes the recorded raw client params, not the implementation's deltas.
@@ -364,30 +371,25 @@ def test_adaptive_five_round_trajectory_matches_scalar_oracle(kind):
 
 class TestFedMedian:
     def test_odd_count_ignores_outlier(self):
-        out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
-            np.zeros(1), updates_with_params([[1.0], [2.0], [100.0]])
-        )
+        out = aggregate(Strategy(StrategyConfig(kind="fedmedian")), np.zeros(1),
+                        [[1.0], [2.0], [100.0]])
         assert out[0] == 2.0
 
     def test_even_count_averages_middle(self):
-        out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
-            np.zeros(1), updates_with_params([[1.0], [3.0]])
-        )
+        out = aggregate(Strategy(StrategyConfig(kind="fedmedian")), np.zeros(1), [[1.0], [3.0]])
         assert out[0] == 2.0
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(21)
         params = [rng.normal(size=50) for _ in range(20)]
-        result = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
-            np.zeros(50), updates_with_params(params)
-        )
+        result = aggregate(Strategy(StrategyConfig(kind="fedmedian")), np.zeros(50), params)
         assert np.array_equal(result, sort_median(params))
 
     def test_weights_ignored(self):
         params = [[0.0], [10.0], [20.0]]
         median = Strategy(StrategyConfig(kind="fedmedian"))
-        a = median.aggregate(np.zeros(1), updates_with_params(params, [1, 1, 1]))
-        b = median.aggregate(np.zeros(1), updates_with_params(params, [100, 1, 1]))
+        a = aggregate(median, np.zeros(1), params, [1, 1, 1])
+        b = aggregate(median, np.zeros(1), params, [100, 1, 1])
         assert a[0] == b[0] == 10.0
 
     def test_breakdown_bounded_by_honest_values(self):
@@ -396,9 +398,8 @@ class TestFedMedian:
             k = int(rng.integers(3, 12))
             honest = [rng.normal(size=6) for _ in range(k - 1)]
             attacker = rng.normal(scale=1e6, size=6)
-            out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
-                np.zeros(6), updates_with_params(honest + [attacker])
-            )
+            out = aggregate(Strategy(StrategyConfig(kind="fedmedian")), np.zeros(6),
+                            honest + [attacker])
             lo = np.min(np.stack(honest), axis=0)
             hi = np.max(np.stack(honest), axis=0)
             assert np.all(out >= lo) and np.all(out <= hi)
@@ -413,9 +414,7 @@ class TestFedMedian:
         params = data.draw(st.lists(arrays(np.float64, dim, elements=element),
                                     min_size=k, max_size=k))
         with np.errstate(invalid="ignore"):  # both warn on inf + -inf
-            out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
-                np.zeros(dim), updates_with_params(params)
-            )
+            out = aggregate(Strategy(StrategyConfig(kind="fedmedian")), np.zeros(dim), params)
             want = np.median(np.stack(params), axis=0)
         assert np.array_equal(out, want, equal_nan=True)
 
@@ -436,11 +435,9 @@ class TestFedMedian:
         params = list(stacked)
         w_t = rng.normal(size=dim)
         with np.errstate(invalid="ignore"):  # inf + -inf
-            out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
-                w_t, updates_with_params(params)
-            )
+            out = aggregate(Strategy(StrategyConfig(kind="fedmedian")), w_t, params)
             want = w_t + (np.median(stacked, axis=0) - w_t)
-            delta = fold_delta("fedmedian", w_t, updates_with_params(params))
+            delta = fold_delta("fedmedian", w_t, params)
             ref = stacked_median(w_t, params)
         assert np.array_equal(out, want, equal_nan=True)
         assert delta.tobytes() == ref.tobytes()
@@ -450,11 +447,10 @@ class TestFedProx:
     def test_server_side_is_fedavg(self):
         rng = np.random.default_rng(41)
         w_t = rng.normal(size=9)
-        updates = updates_with_params([rng.normal(size=9) for _ in range(4)],
-                                      [1, 2, 3, 4])
+        params, ns = [rng.normal(size=9) for _ in range(4)], [1, 2, 3, 4]
         assert np.array_equal(
-            Strategy(StrategyConfig(kind="fedprox")).aggregate(w_t, updates),
-            Strategy(StrategyConfig()).aggregate(w_t, updates),
+            aggregate(Strategy(StrategyConfig(kind="fedprox")), w_t, params, ns),
+            aggregate(Strategy(StrategyConfig()), w_t, params, ns),
         )
 
     def test_strategy_carries_mu_to_clients(self):
@@ -497,18 +493,16 @@ class TestDpAggregate:
         w_t = rng.normal(size=15)
         params = [rng.normal(size=15) for _ in range(6)]
         cfg = self.cfg(dp_noise_multiplier=0.0, dp_initial_clip=1e9)
-        out = Strategy(cfg).aggregate(
-            w_t, updates_with_params(params, [9, 1, 4, 2, 2, 7]), np.random.default_rng(0)
-        )
-        uniform = Strategy(StrategyConfig()).aggregate(w_t, updates_with_params(params))
+        out = aggregate(Strategy(cfg), w_t, params, [9, 1, 4, 2, 2, 7], np.random.default_rng(0))
+        uniform = aggregate(Strategy(StrategyConfig()), w_t, params)
         assert np.max(np.abs(out - uniform)) <= 1e-12
 
     def test_clip_update_closed_form(self):
         # All clients below threshold: C' = C * exp(-0.2 * (1 - 0.5)).
         strategy = Strategy(self.cfg())
         w_t = np.zeros(3)
-        updates = updates_from(w_t, [[0.1, 0.0, 0.0]] * 4)
-        strategy.aggregate(w_t, updates, np.random.default_rng(0))
+        aggregate(strategy, w_t, with_deltas(w_t, [[0.1, 0.0, 0.0]] * 4),
+                  rng=np.random.default_rng(0))
         assert abs(strategy.state.clip_norm - math.exp(-0.1)) < 1e-12
 
     def test_seeded_rng_is_reproducible(self):
@@ -516,10 +510,8 @@ class TestDpAggregate:
         w_t = rng_params.normal(size=10)
         params = [rng_params.normal(size=10) for _ in range(5)]
         cfg = self.cfg()
-        a = Strategy(cfg).aggregate(w_t, updates_with_params(params),
-                                    np.random.default_rng(1234))
-        b = Strategy(cfg).aggregate(w_t, updates_with_params(params),
-                                    np.random.default_rng(1234))
+        a = aggregate(Strategy(cfg), w_t, params, rng=np.random.default_rng(1234))
+        b = aggregate(Strategy(cfg), w_t, params, rng=np.random.default_rng(1234))
         assert np.array_equal(a, b)
 
     def test_clip_monotone_down_and_up(self):
@@ -528,18 +520,16 @@ class TestDpAggregate:
         strategy = Strategy(cfg)
         history = [strategy.state.clip_norm]
         for _ in range(10):  # deltas well below the clip
-            strategy.aggregate(
-                w_t, updates_from(w_t, [[1e-4, 0.0]] * 3), np.random.default_rng(0)
-            )
+            aggregate(strategy, w_t, with_deltas(w_t, [[1e-4, 0.0]] * 3),
+                      rng=np.random.default_rng(0))
             history.append(strategy.state.clip_norm)
         assert all(a > b for a, b in zip(history, history[1:]))
 
         strategy = Strategy(cfg)
         history = [strategy.state.clip_norm]
         for _ in range(10):  # deltas far above the clip
-            strategy.aggregate(
-                w_t, updates_from(w_t, [[100.0, 0.0]] * 3), np.random.default_rng(0)
-            )
+            aggregate(strategy, w_t, with_deltas(w_t, [[100.0, 0.0]] * 3),
+                      rng=np.random.default_rng(0))
             history.append(strategy.state.clip_norm)
         assert all(a < b for a, b in zip(history, history[1:]))
 
@@ -553,7 +543,7 @@ class TestDpAggregate:
     def test_clip_norm_reported_only_when_clipping(self):
         strategy = Strategy(self.cfg(dp_initial_clip=0.5))
         assert strategy.clip_norm == 0.5
-        strategy.aggregate(np.zeros(1), updates_from(np.zeros(1), [[0.1]]))
+        aggregate(strategy, np.zeros(1), with_deltas(np.zeros(1), [[0.1]]))
         assert strategy.clip_norm == strategy.state.clip_norm != 0.5
         for kind in STRATEGY_KINDS:
             if kind != "dp":
@@ -561,11 +551,11 @@ class TestDpAggregate:
 
     def test_inputs_left_unchanged(self):
         w_t = np.array([1.0, -2.0])
-        updates = updates_from(w_t, [[3.0, 4.0], [0.01, 0.0]], num_samples=[5, 7])
-        before = snapshot(updates)
-        Strategy(self.cfg()).aggregate(w_t, updates, np.random.default_rng(0))
+        params, ns = with_deltas(w_t, [[3.0, 4.0], [0.01, 0.0]]), [5, 7]
+        before = snapshot(params, ns)
+        aggregate(Strategy(self.cfg()), w_t, params, ns, np.random.default_rng(0))
         assert np.array_equal(w_t, [1.0, -2.0])
-        assert_unchanged(updates, before)
+        assert_unchanged(params, ns, before)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 300), st.integers(0, 2**32 - 1),
@@ -583,9 +573,8 @@ class TestDpAggregate:
             params.append(w_t + direction * (ratio * clip / np.linalg.norm(direction)))
         cfg = self.cfg(dp_noise_multiplier=noise, dp_initial_clip=clip)
         strategy = Strategy(cfg)
-        out = strategy.aggregate(w_t, updates_with_params(params), np.random.default_rng(seed))
-        want, want_clip = dp_clip_loop(w_t, updates_with_params(params), cfg, clip,
-                                       np.random.default_rng(seed))
+        out = aggregate(strategy, w_t, params, rng=np.random.default_rng(seed))
+        want, want_clip = dp_clip_loop(w_t, params, cfg, clip, np.random.default_rng(seed))
         assert out.tobytes() == want.tobytes()
         assert strategy.state.clip_norm == want_clip
 
@@ -608,27 +597,18 @@ class TestSharedProperties:
         w_t, params, ns = inputs
         order = data.draw(st.permutations(range(len(params))))
         for kind, cfg in self.strategies():
-            forward = Strategy(cfg).aggregate(
-                w_t, updates_with_params(params, ns), rng=np.random.default_rng(0)
-            )
-            shuffled = Strategy(cfg).aggregate(
-                w_t,
-                updates_with_params(
-                    [params[i] for i in order], [ns[i] for i in order]
-                ),
-                rng=np.random.default_rng(0),
-            )
+            forward = aggregate(Strategy(cfg), w_t, params, ns, np.random.default_rng(0))
+            shuffled = aggregate(Strategy(cfg), w_t, [params[i] for i in order],
+                                 [ns[i] for i in order], np.random.default_rng(0))
             np.testing.assert_allclose(forward, shuffled, atol=1e-12, err_msg=kind)
 
     @settings(max_examples=60, deadline=None)
     @given(round_inputs())
     def test_consensus_fixed_point(self, inputs):
         w_t, params, ns = inputs
-        updates = updates_with_params([w_t.copy() for _ in params], ns)
+        consensus = [w_t.copy() for _ in params]
         for kind, cfg in self.strategies():
-            out = Strategy(cfg).aggregate(
-                w_t, updates, rng=np.random.default_rng(0)
-            )
+            out = aggregate(Strategy(cfg), w_t, consensus, ns, np.random.default_rng(0))
             np.testing.assert_allclose(out, w_t, atol=1e-12, err_msg=kind)
 
     @settings(max_examples=60, deadline=None)
@@ -636,11 +616,10 @@ class TestSharedProperties:
     def test_inputs_left_unchanged(self, inputs):
         w_t, params, ns = inputs
         for kind, cfg in [*self.strategies(), ("dp noisy", StrategyConfig(kind="dp"))]:
-            updates = updates_with_params(params, ns)
-            before, w_before = snapshot(updates), w_t.copy()
-            Strategy(cfg).aggregate(w_t, updates, rng=np.random.default_rng(0))
+            before, w_before = snapshot(params, ns), w_t.copy()
+            aggregate(Strategy(cfg), w_t, params, ns, np.random.default_rng(0))
             assert np.array_equal(w_t, w_before), kind
-            assert_unchanged(updates, before)
+            assert_unchanged(params, ns, before)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -652,9 +631,7 @@ class TestSharedProperties:
         attackers = data.draw(st.lists(vectors(dim, bound=1e6),
                                        max_size=len(honest) - 1))
         clients = data.draw(st.permutations(honest + attackers))
-        out = Strategy(StrategyConfig(kind="fedmedian")).aggregate(
-            np.zeros(dim), updates_with_params(clients)
-        )
+        out = aggregate(Strategy(StrategyConfig(kind="fedmedian")), np.zeros(dim), clients)
         stacked = np.stack(honest)
         assert np.all(stacked.min(axis=0) <= out)
         assert np.all(out <= stacked.max(axis=0))
@@ -669,11 +646,11 @@ class TestSharedProperties:
         rng = np.random.default_rng(7)
         p = 101_770
         w_t = rng.normal(size=p)
-        updates = updates_with_params([w_t + rng.normal(scale=0.01, size=p) for _ in range(20)])
+        params = [w_t + rng.normal(scale=0.01, size=p) for _ in range(20)]
         strategy = Strategy(StrategyConfig(kind=kind))
         tracemalloc.start()
         try:
-            strategy.aggregate(w_t, updates, np.random.default_rng(0))
+            aggregate(strategy, w_t, params, rng=np.random.default_rng(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -685,21 +662,20 @@ class TestSharedProperties:
         params = [rng.normal(size=30) for _ in range(8)]
         ns = [int(n) for n in rng.integers(1, 12, size=8)]
         fedavg = Strategy(StrategyConfig())
-        reference = fedavg.aggregate(w_t, updates_with_params(params, ns))
+        reference = aggregate(fedavg, w_t, params, ns)
 
         avgm = Strategy(StrategyConfig(kind="fedavgm", momentum=0.0, server_lr=1.0))
-        out = avgm.aggregate(w_t, updates_with_params(params, ns))
+        out = aggregate(avgm, w_t, params, ns)
         assert np.max(np.abs(out - reference)) <= 1e-12
 
         prox = Strategy(StrategyConfig(kind="fedprox", prox_mu=0.0))
-        out = prox.aggregate(w_t, updates_with_params(params, ns))
+        out = aggregate(prox, w_t, params, ns)
         assert np.max(np.abs(out - reference)) <= 1e-12
 
-        uniform_reference = fedavg.aggregate(w_t, updates_with_params(params))
+        uniform_reference = aggregate(fedavg, w_t, params)
         dp = Strategy(StrategyConfig(kind="dp", dp_noise_multiplier=0.0,
                                      dp_initial_clip=1e9))
-        out = dp.aggregate(w_t, updates_with_params(params, ns),
-                           rng=np.random.default_rng(0))
+        out = aggregate(dp, w_t, params, ns, np.random.default_rng(0))
         assert np.max(np.abs(out - uniform_reference)) <= 1e-12
 
 
