@@ -1,5 +1,6 @@
 """Test-session settings shared by tests/ and bench/tests/."""
 
+import numpy as np
 import pytest
 
 
@@ -10,3 +11,10 @@ def session_cache_home(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield
+
+
+@pytest.fixture
+def float64(monkeypatch):
+    """Compute in float64 in this process: the dtype of the pinned trajectories
+    and of the checks whose gaps or triggers are float64 properties."""
+    monkeypatch.setattr("fedbench.model.DTYPE", np.float64)

@@ -53,4 +53,4 @@ def corrupt(
     if spec.kind == "scale":
         return global_params + spec.scale_factor * (new_params - global_params)
     # random: replace the model with a seeded Gaussian vector
-    return rng.standard_normal(global_params.shape)
+    return rng.standard_normal(global_params.shape, dtype=global_params.dtype)

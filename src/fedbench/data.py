@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import model
 from .errors import ConfigError, IngestionError
 
 Array = np.ndarray
@@ -49,8 +50,8 @@ class RowView:
 
 @dataclass
 class Dataset:
-    """Row-major features in [0, 1] plus integer class labels. A client's
-    features are a RowView of the loaded split."""
+    """Row-major model.DTYPE features in [0, 1] plus integer class labels. A
+    client's features are a RowView of the loaded split."""
 
     features: Array | RowView
     labels: Array
@@ -183,7 +184,7 @@ def _read_idx(path: Path, expected_magic: int) -> Array:
 
 
 def load_idx_dataset(images_path: str | os.PathLike, labels_path: str | os.PathLike) -> Dataset:
-    """Load an images/labels IDX pair; pixels are scaled by 1/255."""
+    """Load an images/labels IDX pair; pixels are divided by 255 into model.DTYPE."""
     images = _read_idx(Path(images_path), IDX_MAGIC_IMAGES)
     labels = _read_idx(Path(labels_path), IDX_MAGIC_LABELS)
     if images.shape[0] != labels.shape[0]:
@@ -193,7 +194,7 @@ def load_idx_dataset(images_path: str | os.PathLike, labels_path: str | os.PathL
         )
     # The header's width, not -1, which numpy rejects for 0 rows.
     pixels = images.reshape(len(images), int(np.prod(images.shape[1:])))
-    return Dataset(pixels / 255.0, labels.astype(np.int64))
+    return Dataset(np.divide(pixels, 255, dtype=model.DTYPE), labels.astype(np.int64))
 
 
 def load_cifar10(data_dir: str | os.PathLike, split: str = "train") -> Dataset:
@@ -208,8 +209,10 @@ def load_cifar10(data_dir: str | os.PathLike, split: str = "train") -> Dataset:
         if len(batches[-1]) % 3073 != 0:
             raise IngestionError(f"{path}: size {len(batches[-1])} not a multiple of 3073")
     records = np.frombuffer(b"".join(batches), np.uint8).reshape(-1, 3073)
+    del batches  # the joined bytes are the only copy alive during the division
     # One division of the joined bytes: it casts them in chunks, making no float copy.
-    return Dataset(records[:, 1:] / 255.0, records[:, 0].astype(np.int64))
+    return Dataset(np.divide(records[:, 1:], 255, dtype=model.DTYPE),
+                   records[:, 0].astype(np.int64))
 
 
 def _class_means(
@@ -254,7 +257,8 @@ def _permute_rows(a: Array, src: Array) -> None:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
-    """Seeded Gaussian blobs, one per class, rescaled into [0, 1], as (train, test).
+    """Seeded Gaussian blobs, one per class, rescaled into [0, 1], as (train, test),
+    drawn and kept in model.DTYPE.
 
     Means sit on a scaled simplex so the classes are linearly separable;
     the affine rescale to [0, 1] preserves separability. One draw covers
@@ -267,7 +271,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, Dataset]:
     means = _class_means(spec.num_classes, spec.input_dim, spec.class_sep, rng)
     per_class = spec.train_per_class + spec.test_per_class
     n = spec.num_classes * per_class
-    features = rng.standard_normal((n, spec.input_dim))
+    features = rng.standard_normal((n, spec.input_dim), dtype=model.DTYPE)
     for c in range(spec.num_classes):  # rows are in class order until permuted
         features[c * per_class : (c + 1) * per_class] += means[c]
     order = rng.permutation(n)
@@ -297,13 +301,16 @@ def _split(features: Array, labels: Array, n_train: int) -> tuple[Dataset, Datas
 
 
 def _cache_stem(spec: SyntheticSpec) -> tuple[str, str]:
-    """(spec id, file stem) of spec's cached split. The stem adds a hash of all
-    else the bytes depend on: numpy's version, this file's source, the C library
-    and the class means, which run the generator's one BLAS/LAPACK step."""
-    spec_id = hashlib.sha256(repr(astuple(spec)).encode()).hexdigest()[:16]
+    """(spec id, file stem) of spec's cached split in model.DTYPE. The id covers
+    the spec and the dtype, so each dtype keeps its own store. The stem adds a
+    hash of all else the bytes depend on: numpy's version, this file's source,
+    the C library and the class means, which run the generator's one
+    BLAS/LAPACK step."""
+    ident = (astuple(spec), np.dtype(model.DTYPE).str)
+    spec_id = hashlib.sha256(repr(ident).encode()).hexdigest()[:16]
     means = _class_means(spec.num_classes, spec.input_dim, spec.class_sep,
                          np.random.default_rng(spec.seed))
-    key = hashlib.sha256(repr((astuple(spec), np.__version__, platform.libc_ver())).encode())
+    key = hashlib.sha256(repr((ident, np.__version__, platform.libc_ver())).encode())
     key.update(Path(__file__).read_bytes())
     key.update(means.tobytes())
     return spec_id, f"{spec_id}-{key.hexdigest()[:16]}"
@@ -326,7 +333,7 @@ def _read_cached(spec: SyntheticSpec, stem: str) -> tuple[Dataset, Dataset] | No
                             for path in _cache_paths(stem))
     except (OSError, ValueError):
         return None
-    if (features.dtype != np.float64 or features.shape != (n, spec.input_dim)
+    if (features.dtype != model.DTYPE or features.shape != (n, spec.input_dim)
             or not features.flags.c_contiguous
             or labels.dtype != np.int64 or labels.shape != (n,)):
         return None
@@ -408,7 +415,7 @@ def load_dataset(
     width, classes = dataset_shape(name, synthetic)
     spec = _generator_spec(name, synthetic)
     root = resolve_data_dir(data_dir) if spec is None else None
-    key = (name, root if spec is None else astuple(spec))
+    key = (name, root if spec is None else astuple(spec), model.DTYPE)
     if _last_split is not None and _last_split[0] == key:
         return _last_split[1]
     _last_split = None  # free the old split before the new one loads

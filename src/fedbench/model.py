@@ -1,7 +1,7 @@
-"""Dense classifier with flat float64 parameters, analytic gradients, and the
+"""Dense classifier with flat parameters, analytic gradients, and the
 two client-side optimizers (SGD, Adam).
 
-The whole model lives in a single 1-D float64 vector so that clients and the
+The whole model lives in a single 1-D DTYPE vector so that clients and the
 server exchange one array. Layout: for each layer, the weight matrix
 (row-major, shape in x out) followed by the bias vector.
 """
@@ -16,6 +16,11 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 
 Array = np.ndarray
+
+# The one dtype the program computes in: parameters, optimizer state, replies
+# and dataset features. Read at call time; every other array follows
+# params.dtype or features.dtype.
+DTYPE = np.float32
 
 
 @dataclass
@@ -95,7 +100,7 @@ class AdamState:
 
 
 def init_model(spec: ModelSpec, seed: int) -> Array:
-    """He-uniform weights drawn from seed, zero biases, flattened into one vector."""
+    """He-uniform weights drawn from seed, zero biases, flattened into one DTYPE vector."""
     spec.validate()
     rng = np.random.default_rng(seed)
     parts = []
@@ -103,7 +108,7 @@ def init_model(spec: ModelSpec, seed: int) -> Array:
         limit = np.sqrt(6.0 / fan_in)
         parts.append(rng.uniform(-limit, limit, size=fan_in * fan_out))
         parts.append(np.zeros(fan_out))
-    return np.concatenate(parts)
+    return np.concatenate(parts).astype(DTYPE, copy=False)
 
 
 def unpack_params(params: Array, spec: ModelSpec) -> list[tuple[Array, Array]]:
@@ -204,9 +209,10 @@ def _check_batch(spec: ModelSpec, features: Array) -> None:
         )
 
 
-def init_opt_state(cfg: LocalOptimizerConfig, dim: int) -> AdamState | None:
+def init_opt_state(cfg: LocalOptimizerConfig, params: Array) -> AdamState | None:
+    """Fresh optimizer state shaped and typed as params."""
     if cfg.kind == "adam":
-        return AdamState(m=np.zeros(dim), v=np.zeros(dim))
+        return AdamState(m=np.zeros_like(params), v=np.zeros_like(params))
     return None
 
 

@@ -211,7 +211,7 @@ def train_local(
     The steps update a copy of params in place; the arguments are not written.
     """
     params = params.copy()
-    state = init_opt_state(cfg, params.shape[0])
+    state = init_opt_state(cfg, params)
     grad = np.empty_like(params)
     pull = np.empty_like(params) if prox_mu > 0.0 else None
     n = len(features)

@@ -99,13 +99,14 @@ class Fold:
         self.added = 0
 
     def add(self, client_id: int, new_params: Array) -> None:
-        """Check one reply and fold it in as the next client's."""
+        """Check one reply's shape and dtype, and fold it in as the next client's."""
         if self.added == self.size:
             raise ProtocolError(f"client {client_id} sent reply {self.added + 1} to a round "
                                 f"started with {self.size} sample counts")
-        if new_params.shape != self.global_params.shape:
-            raise ShapeError(f"client {client_id} sent shape {new_params.shape}, "
-                             f"global model has shape {self.global_params.shape}")
+        got, want = new_params, self.global_params
+        if (got.shape, got.dtype) != (want.shape, want.dtype):
+            raise ShapeError(f"client {client_id} sent shape {got.shape} of {got.dtype}, "
+                             f"global model has shape {want.shape} of {want.dtype}")
         self._add(new_params)
         self.added += 1
 
@@ -126,8 +127,9 @@ class _Mean(Fold):
 
     def __init__(self, global_params, sample_counts, state):
         super().__init__(global_params, sample_counts, state)
-        self.weights = np.array(sample_counts, dtype=np.float64)
-        self.weights /= self.weights.sum()
+        total = sum(sample_counts)
+        # Python floats, so that each reply's product stays in the params' dtype.
+        self.weights = [n / total for n in sample_counts]
         self.delta = np.zeros_like(global_params)
         self.scratch = np.empty_like(global_params)
 
@@ -197,9 +199,10 @@ class _ClippedMean(Fold):
         k, clip = self.size, self.clip
         noise_std = cfg.dp_noise_multiplier * clip / k
         if noise_std > 0:
-            # rng.normal(0, noise_std)'s draws, 0 + noise_std * z, without a third P-vector.
-            self.mean += np.multiply(rng.standard_normal(out=self.scratch), noise_std,
-                                     out=self.scratch)
+            # noise_std * z, z drawn in the params' dtype into the scratch vector; at
+            # float64 these are rng.normal(0, noise_std)'s draws.
+            z = rng.standard_normal(dtype=self.scratch.dtype, out=self.scratch)
+            self.mean += np.multiply(z, noise_std, out=self.scratch)
         new_clip = clip * float(np.exp(-cfg.dp_clip_lr * (self.below / k - cfg.dp_target_quantile)))
         return self.mean, replace(state, clip_norm=new_clip)
 

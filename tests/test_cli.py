@@ -458,7 +458,10 @@ def test_summary_lacking_a_column_names_its_file(command, config_path, tmp_path,
 @pytest.mark.parametrize(
     "grid, completed", [(TINY, 2), (ONE_ABORTS_PARTWAY, 1)], ids=["completed", "one_aborts"]
 )
-def test_summarize_rebuilds(grid, completed, tmp_path):
+def test_summarize_rebuilds(grid, completed, tmp_path, request):
+    if grid is ONE_ABORTS_PARTWAY:
+        # Its 1e100 server step overflows float32 in round 1, float64 in round 2.
+        request.getfixturevalue("float64")
     path = tmp_path / "exp.ini"
     path.write_text(grid)
     out_dir = tmp_path / "out"

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedbench.data
+import fedbench.model
 from fedbench import (
     ConfigError,
     ExperimentConfig,
@@ -237,6 +238,8 @@ def assert_same_split(actual, expected):
 
 
 class TestSynthetic:
+    # The reference draws float64 noise, so the two are compared at float64.
+    @pytest.mark.usefixtures("float64")
     @settings(max_examples=60, deadline=None)
     @given(st.builds(
         SyntheticSpec,
@@ -250,6 +253,7 @@ class TestSynthetic:
     def test_in_place_draw_equals_reference(self, spec):
         assert_same_split(generate_synthetic(spec), reference_generate_synthetic(spec))
 
+    @pytest.mark.usefixtures("float64")
     def test_synthmnist_equals_reference(self):
         assert_same_split(generate_synthetic(SYNTH_MNIST),
                           reference_generate_synthetic(SYNTH_MNIST))
@@ -436,7 +440,7 @@ def reshape(features, labels):
 
 
 def narrow(features, labels):
-    np.save(features, np.load(features).astype(np.float32))
+    np.save(features, np.load(features).astype(np.float16))
 
 
 def reorder(features, labels):
@@ -508,11 +512,11 @@ class TestSplitCache:
         batches = write_cifar_files(tmp_path / "cifar10", rng, per_batch=3)
         for ds, (images, labels) in zip(load_dataset("mnist", str(tmp_path)), idx):
             assert_same_bits(ds.features,
-                             images.reshape(len(images), -1).astype(np.float64) / 255.0)
+                             images.reshape(len(images), -1).astype(fedbench.model.DTYPE) / 255.0)
             assert_same_bits(ds.labels, labels.astype(np.int64))
         for ds, parts in zip(load_dataset("cifar10", str(tmp_path)), (batches[:5], batches[5:])):
             assert_same_bits(ds.features, np.concatenate(
-                [pixels.astype(np.float64) / 255.0 for pixels, _ in parts]))
+                [pixels.astype(fedbench.model.DTYPE) / 255.0 for pixels, _ in parts]))
             assert_same_bits(ds.labels, np.concatenate(
                 [labels.astype(np.int64) for _, labels in parts]))
 
@@ -623,6 +627,17 @@ class TestSplitCache:
         assert len(generations) == 2
         # One pair per spec: a new key for the same spec replaces the old pair.
         assert len(stored_files(tmp_path)) == (4 if change == "spec" else 2)
+
+    def test_float32_and_float64_stores_coexist(self, generations, tmp_path, monkeypatch):
+        digests = {}
+        for dtype in (np.float32, np.float64, np.float32, np.float64):
+            monkeypatch.setattr(fedbench.model, "DTYPE", dtype)
+            split = load_anew()
+            assert split[0].features.dtype == dtype
+            assert digests.setdefault(dtype, split_digest(split)) == split_digest(split)
+        # One generation per dtype; neither store replaced the other.
+        assert len(generations) == 2
+        assert len(stored_files(tmp_path)) == 4
 
     def test_cache_under_a_regular_file_still_loads(self, generations, tmp_path, monkeypatch):
         blocker = tmp_path / "blocker"

@@ -158,28 +158,33 @@ class TestOptimizers:
 
     def test_adam_zero_grad_fixed_point(self):
         cfg = LocalOptimizerConfig(kind="adam")
-        state = init_opt_state(cfg, 3)
         params = np.array([1.0, -2.0, 0.5])
+        state = init_opt_state(cfg, params)
         new_params, new_state = local_adam_step(params.copy(), np.zeros(3), state, cfg)
         assert np.array_equal(new_params, params)
         assert new_state.step == 1
 
     def test_adam_first_step_magnitude(self):
-        # With bias correction the first step is lr / (1 + eps) ~= lr.
         cfg = LocalOptimizerConfig(kind="adam", learning_rate=0.001)
-        state = init_opt_state(cfg, 1)
-        new_params, state = local_adam_step(np.array([1.0]), np.array([1.0]), state, cfg)
-        assert abs((1.0 - new_params[0]) - 0.001) < 1e-10
+        for dtype in (np.float64, np.float32):
+            one = np.ones(1, dtype)
+            state = init_opt_state(cfg, one)
+            assert state.m.dtype == state.v.dtype == dtype
+            new_params, state = local_adam_step(one.copy(), one.copy(), state, cfg)
+            # With bias correction the first step is lr / (1 + eps) ~= lr; at
+            # float32 the parameter's own rounding, one eps of 1.0, dominates.
+            assert abs((1.0 - new_params[0]) - 0.001) < max(1e-10, np.finfo(dtype).eps)
 
-        # Hand recursion for the second step with the same gradient.
-        b1, b2, eps = 0.9, 0.999, 1e-8
-        m = b1 * (0.1) + 0.1 * 1.0
-        v = b2 * (0.001) + 0.001 * 1.0
-        m_hat = m / (1 - b1**2)
-        v_hat = v / (1 - b2**2)
-        expected = new_params[0] - 0.001 * m_hat / (np.sqrt(v_hat) + eps)
-        again, _ = local_adam_step(new_params, np.array([1.0]), state, cfg)
-        assert abs(again[0] - expected) < 1e-15
+            # Hand recursion for the second step with the same gradient.
+            b1, b2, eps = 0.9, 0.999, 1e-8
+            m = b1 * (0.1) + 0.1 * 1.0
+            v = b2 * (0.001) + 0.001 * 1.0
+            m_hat = m / (1 - b1**2)
+            v_hat = v / (1 - b2**2)
+            expected = new_params[0] - 0.001 * m_hat / (np.sqrt(v_hat) + eps)
+            again, _ = local_adam_step(new_params, one.copy(), state, cfg)
+            assert again.dtype == dtype
+            assert abs(again[0] - expected) < 1e-15 * eps_ratio(dtype)
 
     def test_non_finite_grad_raises(self):
         cfg = LocalOptimizerConfig(kind="sgd", learning_rate=0.1)
@@ -188,7 +193,7 @@ class TestOptimizers:
         cfg = LocalOptimizerConfig(kind="adam")
         with pytest.raises(NumericError):
             local_adam_step(
-                np.array([1.0]), np.array([np.inf]), init_opt_state(cfg, 1), cfg
+                np.array([1.0]), np.array([np.inf]), init_opt_state(cfg, np.ones(1)), cfg
             )
 
     def test_default_learning_rates(self):
@@ -292,19 +297,25 @@ def reference_adam(params, grad, m, v, t, cfg):
     return params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon), m, v
 
 
-# |got - textbook| <= ROUNDING_BOUND * scale + TINY. The scale is the
-# largest magnitude the textbook values reached so far, and for the
+# |got - textbook| <= ROUNDING_BOUND * eps_ratio * scale + tiny. The scale is
+# the largest magnitude the textbook values reached so far, and for the
 # parameters also the summed updates that the gradients' magnitudes would
 # have made without cancelling in m (with eps small and v small, rounding
-# noise in a cancelled m is amplified by lr / eps in either form). TINY, the
-# smallest normal float64, absorbs the subnormal updates that a subnormal
+# noise in a cancelled m is amplified by lr / eps in either form). The bound
+# is set at float64 and scales with the dtype's eps. tiny, the dtype's
+# smallest normal number, absorbs the subnormal updates that a subnormal
 # learning rate or gradient makes.
 ROUNDING_BOUND = 1e-12
-TINY = np.finfo(np.float64).tiny
+
+
+def eps_ratio(dtype):
+    """dtype's machine epsilon in units of float64's."""
+    return float(np.finfo(dtype).eps / np.finfo(np.float64).eps)
 
 
 def assert_within_rounding(got, want, scale):
-    assert np.all(np.abs(got - want) <= ROUNDING_BOUND * scale + TINY)
+    bound = ROUNDING_BOUND * eps_ratio(got.dtype)
+    assert np.all(np.abs(got - want) <= bound * scale + np.finfo(got.dtype).tiny)
 
 
 def reference_train_local(params, spec, x, y, cfg, rng, prox_mu, prox_center):
@@ -336,22 +347,26 @@ adam_configs = st.builds(
 )
 
 
-def vectors(dim, bound=1e3):
-    return arrays(np.float64, dim, elements=st.floats(-bound, bound))
+dtypes = st.sampled_from([np.float64, np.float32])
 
 
-def gradient_sequences(dim):
-    return st.lists(vectors(dim), min_size=1, max_size=6)
+def vectors(dim, dtype, bound=1e3):
+    width = np.finfo(dtype).bits
+    return arrays(dtype, dim, elements=st.floats(-bound, bound, width=width))
+
+
+def gradient_sequences(dim, dtype):
+    return st.lists(vectors(dim, dtype), min_size=1, max_size=6)
 
 
 class TestInPlaceSteps:
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), adam_configs, st.integers(1, 12))
-    def test_adam_matches_out_of_place(self, data, cfg, dim):
-        params = data.draw(vectors(dim, 10.0))
-        grads = data.draw(gradient_sequences(dim))
-        state = init_opt_state(cfg, dim)
-        want, m, v = params.copy(), np.zeros(dim), np.zeros(dim)
+    @given(st.data(), adam_configs, st.integers(1, 12), dtypes)
+    def test_adam_matches_out_of_place(self, data, cfg, dim, dtype):
+        params = data.draw(vectors(dim, dtype, 10.0))
+        grads = data.draw(gradient_sequences(dim, dtype))
+        state = init_opt_state(cfg, params)
+        want, m, v = params.copy(), np.zeros(dim, dtype), np.zeros(dim, dtype)
         scale, g_max = np.max(np.abs(params)), 0.0
         m_abs, drift = np.zeros(dim), np.zeros(dim)
         for t, grad in enumerate(grads, start=1):
@@ -368,12 +383,12 @@ class TestInPlaceSteps:
             assert state.step == t
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.floats(0.0, 1.0), st.integers(1, 12))
-    def test_sgd_matches_out_of_place(self, data, lr, dim):
+    @given(st.data(), st.floats(0.0, 1.0), st.integers(1, 12), dtypes)
+    def test_sgd_matches_out_of_place(self, data, lr, dim, dtype):
         cfg = LocalOptimizerConfig(kind="sgd", learning_rate=lr)
-        params = data.draw(vectors(dim, 10.0))
+        params = data.draw(vectors(dim, dtype, 10.0))
         want = params.copy()
-        for grad in data.draw(gradient_sequences(dim)):
+        for grad in data.draw(gradient_sequences(dim, dtype)):
             want = reference_sgd(want, grad, cfg)
             got, _ = local_sgd_step(params, grad, None, cfg)
             assert got is params
@@ -385,15 +400,16 @@ class TestInPlaceSteps:
         prox_mu=st.just(0.0) | st.floats(1e-3, 10.0),
         batch_size=st.integers(1, 25),
         seed=st.integers(0, 2**32 - 1),
+        dtype=dtypes,
     )
-    def test_train_local_matches_out_of_place(self, kind, prox_mu, batch_size, seed):
+    def test_train_local_matches_out_of_place(self, kind, prox_mu, batch_size, seed, dtype):
         spec = ModelSpec(input_dim=4, hidden_dims=[5], output_classes=3)
         rng = np.random.default_rng(seed)
-        x = rng.uniform(size=(20, 4))
+        x = rng.uniform(size=(20, 4)).astype(dtype)
         y = rng.integers(0, 3, size=20)
         x.flags.writeable = y.flags.writeable = False  # as the cached split
-        params = init_model(spec, 1)
-        center = params + rng.normal(scale=0.1, size=params.shape)
+        params = init_model(spec, 1).astype(dtype)
+        center = (params + rng.normal(scale=0.1, size=params.shape)).astype(dtype)
         params_before, center_before = params.copy(), center.copy()
         cfg = LocalOptimizerConfig(kind=kind, learning_rate=0.05,
                                    batch_size=batch_size, local_epochs=2)
@@ -401,6 +417,7 @@ class TestInPlaceSteps:
                           prox_mu=prox_mu, prox_center=center)
         want = reference_train_local(params, spec, x, y, cfg,
                                      np.random.default_rng(seed), prox_mu, center)
+        assert got.dtype == want.dtype == dtype
         if kind == "sgd":
             assert np.array_equal(got, want)
         else:
@@ -422,7 +439,7 @@ class TestInPlaceSteps:
         params = np.arange(dim, dtype=np.float64)
         grad = np.ones(dim)
         grad[where % dim] = bad
-        state = init_opt_state(cfg, dim)
+        state = init_opt_state(cfg, params)
         with pytest.raises(NumericError):
             local_step(params, grad, state, cfg)
         assert np.array_equal(params, np.arange(dim, dtype=np.float64))

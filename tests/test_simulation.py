@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedbench import (
+    AdversarySpec,
     ConfigError,
     ExperimentAborted,
     ExperimentConfig,
@@ -36,6 +37,7 @@ import fedbench.simulation
 from fedbench.data import Dataset, RowView, load_dataset
 from fedbench.model import forward_loss_grad, init_model
 from fedbench.partition import partition
+from fedbench.results import write_results
 from fedbench.strategies import STRATEGY_KINDS, Fold
 from fedbench.simulation import (
     _TAG_MODEL_INIT,
@@ -423,6 +425,8 @@ class TestRunExperiment:
         assert result.train_size == 50
         assert result.eval_size == 10
 
+    # Both closed-form checks below hold to atol 1e-12, a float64 property.
+    @pytest.mark.usefixtures("float64")
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_clients=st.integers(1, 6),
            mode=st.sampled_from(["iid", "dirichlet"]),
@@ -475,6 +479,7 @@ class TestRunExperiment:
             _, grad = forward_loss_grad(w0, model, train.features[rows], train.labels[rows])
             np.testing.assert_allclose(result.final_params, w0 - 0.1 * grad, rtol=0, atol=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_clients=st.integers(1, 6),
            mode=st.sampled_from(["iid", "dirichlet"]),
@@ -625,6 +630,33 @@ class TestClientThreads:
             assert _outcome(cfg, 3) == serial
         finally:
             sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("attack", ["none", "random", "scale"])
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_every_array_of_a_run_is_float32(kind, attack, monkeypatch, tmp_path):
+    """No step promotes the model to float64 (a promotion would cost float32's
+    speed): not a client's reply, the attacks, the server state nor the
+    stored state."""
+    replies = []
+    real_add = Fold.add
+
+    def recording_add(self, client_id, new_params):
+        replies.append(new_params.dtype)
+        real_add(self, client_id, new_params)
+
+    monkeypatch.setattr(Fold, "add", recording_add)
+    adversary = AdversarySpec(kind=attack, scale_factor=-2.0,
+                              affected_clients=frozenset(() if attack == "none" else (1,)))
+    result = run_experiment(tiny_config(rounds=2, strategy=StrategyConfig(kind=kind),
+                                        adversary=adversary))
+    assert len(replies) == 2 * 4
+    state = [v.dtype for v in vars(result.strategy_state).values() if isinstance(v, np.ndarray)]
+    assert len(state) == {"fedavgm": 1, "fedadam": 2, "fedadagrad": 2}.get(kind, 0)
+    with np.load(write_results(result, "run", tmp_path) / "state.npz") as stored:
+        assert len(stored.files) == len(state) + 1
+        stored = [stored[name].dtype for name in stored.files]
+    assert set(replies + [result.final_params.dtype] + state + stored) == {np.dtype(np.float32)}
 
 
 class TestFold:

@@ -209,12 +209,20 @@ class TestFedAvg:
             Strategy(StrategyConfig()).start(np.zeros(2), [0, 5])
 
     def test_length_mismatch_rejected(self):
-        # A reply of the right size but the wrong shape is named by its shape.
-        for w_t, reply in [(np.zeros(2), np.array([1.0, 2.0, 3.0])),
-                           (np.zeros(6), np.ones((6, 1)))]:
-            with pytest.raises(ShapeError, match="client 0") as excinfo:
-                Strategy(StrategyConfig()).start(w_t, [1]).add(0, reply)
-            assert f"sent shape {reply.shape}" in str(excinfo.value)
+        # A reply of the right size but the wrong shape is named by its shape,
+        # and one of another dtype by both dtypes, before any kind's fold
+        # takes it: the mean folds would silently cast it.
+        for kind in ("fedavg", "fedmedian", "dp"):
+            for w_t, reply in [(np.zeros(2), np.array([1.0, 2.0, 3.0])),
+                               (np.zeros(6), np.ones((6, 1))),
+                               (np.zeros(2), np.ones(2, np.float32)),
+                               (np.zeros(2, np.float32), np.ones(2))]:
+                fold = Strategy(StrategyConfig(kind=kind)).start(w_t, [1])
+                with pytest.raises(ShapeError, match="client 0") as excinfo:
+                    fold.add(0, reply)
+                assert (f"sent shape {reply.shape} of {reply.dtype}, "
+                        f"global model has shape {w_t.shape} of {w_t.dtype}") in str(excinfo.value)
+                assert fold.added == 0
 
     @pytest.mark.parametrize("kind", ["fedavg", "fedmedian", "dp"])
     def test_reply_beyond_the_started_count_rejected(self, kind):

@@ -1,8 +1,10 @@
-"""Learning results of short runs against the committed trajectories.json.
+"""Learning results of short runs against the committed fixtures, one per
+dtype.
 
-The tolerance lets rounding noise pass (a different BLAS thread count, or a
-reordered sum) and fails any change in behaviour. tests/trajectories.py
-describes the runs and regenerates the fixture.
+The tolerance lets rounding noise pass (a different BLAS thread count or
+kernel, or a reordered sum) and fails any change in behaviour.
+tests/trajectories.py describes the runs, sizes each dtype's tolerance and
+regenerates the fixtures.
 """
 
 import json
@@ -10,35 +12,47 @@ import json
 import numpy as np
 import pytest
 
-from trajectories import FIXTURE, record, runs
+from trajectories import FIXTURES, record, runs
 
-PINNED = json.loads(FIXTURE.read_text())
+PINNED = {dtype: json.loads(fixture.read_text()) for dtype, (fixture, _) in FIXTURES.items()}
 RUNS = runs()
 
 
-def _assert_close(actual, expected, where: str) -> None:
+def _assert_close(actual, expected, where: str, rtol: float) -> None:
     if isinstance(expected, dict):
         assert actual.keys() == expected.keys(), where
         for key in expected:
-            _assert_close(actual[key], expected[key], f"{where}.{key}")
+            _assert_close(actual[key], expected[key], f"{where}.{key}", rtol)
     elif isinstance(expected, list):
         assert len(actual) == len(expected), where
         for i, (a, e) in enumerate(zip(actual, expected)):
-            _assert_close(a, e, f"{where}[{i}]")
+            _assert_close(a, e, f"{where}[{i}]", rtol)
     elif expected is None:
         assert actual is None, where
     else:
-        np.testing.assert_allclose(actual, expected, rtol=1e-9, atol=1e-12, err_msg=where)
+        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=1e-12, err_msg=where)
 
 
 def test_fixture_covers_the_runs():
-    assert sorted(PINNED) == sorted(RUNS)
+    for pinned in PINNED.values():
+        assert sorted(pinned) == sorted(RUNS)
+
+
+def _check(name: str, dtype) -> None:
+    got = record(RUNS[name])
+    pinned = PINNED[dtype][name]
+    # A changed run definition needs a regenerated fixture, not a tolerance.
+    assert got.pop("config") == pinned["config"]
+    expected = {key: value for key, value in pinned.items() if key != "config"}
+    _assert_close(got, expected, name, FIXTURES[dtype][1])
+
+
+@pytest.mark.usefixtures("float64")
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_trajectory_matches_fixture(name):
+    _check(name, np.float64)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_trajectory_matches_fixture(name):
-    got = record(RUNS[name])
-    # A changed run definition needs a regenerated fixture, not a tolerance.
-    assert got.pop("config") == PINNED[name]["config"]
-    expected = {key: value for key, value in PINNED[name].items() if key != "config"}
-    _assert_close(got, expected, name)
+def test_float32_trajectory_matches_fixture(name):
+    _check(name, np.float32)

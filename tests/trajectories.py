@@ -1,5 +1,7 @@
 """Pinned reference trajectories: short runs whose learning results are
-committed in trajectories.json and compared by test_trajectories.py.
+committed and compared by test_trajectories.py, once per dtype:
+trajectories.json holds them computed in float64, the reference dtype, and
+trajectories_float32.json in float32, the dtype the program computes in.
 
 The runs are the seven strategy kinds on IID and Dirichlet(0.5) shards of a
 4-class, 24-feature `synthetic` task, plus one FedAvg run with a client whose
@@ -8,7 +10,15 @@ rows, a 24-32-4 MLP. Each record holds the
 per-round accuracy, loss and DP clip norm, a summary of the final parameters
 (L2 norm, sum, a few coordinates) and the L2 norms of the server state.
 
-Regenerate the fixture only when a change is meant to alter learning
+The tolerances let rounding noise pass and fail any change in behaviour.
+float64 keeps rtol 1e-9. float32's rtol is 10x the largest relative gap
+measured between the 15 runs on one machine (an AVX-512 Xeon) under three
+OpenBLAS kernels: the default, and OPENBLAS_CORETYPE=Haswell and Sandybridge.
+That gap, 5.8e-7, is the rounding noise another machine brings (it was
+1.9e-15 in float64). One and two OpenBLAS threads gave identical results in
+both dtypes, as these matrices are too small for OpenBLAS to split.
+
+Regenerate the fixtures only when a change is meant to alter learning
 results, and say in CHANGES.md when and why:
 
     PYTHONPATH=src python tests/trajectories.py
@@ -21,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+import fedbench.model
 from fedbench import (
     AdversarySpec,
     ExperimentConfig,
@@ -34,7 +45,11 @@ from fedbench import (
 from fedbench.config import config_to_dict
 from fedbench.strategies import STRATEGY_KINDS
 
-FIXTURE = Path(__file__).with_name("trajectories.json")
+# dtype -> (fixture, rtol); atol 1e-12 guards values pinned at zero.
+FIXTURES = {
+    np.float64: (Path(__file__).with_name("trajectories.json"), 1e-9),
+    np.float32: (Path(__file__).with_name("trajectories_float32.json"), 6e-6),
+}
 
 
 def _config(kind: str, mode: str, adversary: AdversarySpec | None = None) -> ExperimentConfig:
@@ -101,9 +116,11 @@ def record(cfg: ExperimentConfig) -> dict:
 
 
 def main() -> None:
-    pinned = {name: record(cfg) for name, cfg in runs().items()}
-    FIXTURE.write_text(json.dumps(pinned, indent=1) + "\n")
-    print(f"wrote {len(pinned)} trajectories to {FIXTURE}")
+    for dtype, (fixture, _) in FIXTURES.items():
+        fedbench.model.DTYPE = dtype
+        pinned = {name: record(cfg) for name, cfg in runs().items()}
+        fixture.write_text(json.dumps(pinned, indent=1) + "\n")
+        print(f"wrote {len(pinned)} {np.dtype(dtype)} trajectories to {fixture}")
 
 
 if __name__ == "__main__":
